@@ -54,7 +54,6 @@ from .syntax import (
     ArrowVar,
     App,
     Atom,
-    Const,
     Eq,
     Exists,
     Falsum,
@@ -68,12 +67,16 @@ from .syntax import (
     Theory,
     Var,
     arrow_vars,
+    atom_terms,
+    children,
     free_plain_vars,
     is_complete_formula,
     parse_labeled_formula,
     parse_theory,
+    render_term,
     substitute,
     term_arrow_vars,
+    term_free_plain_vars,
 )
 
 __all__ = [
@@ -361,113 +364,85 @@ def load_proof_script(path: str | Path, *, theory: Theory | None = None) -> Proo
 # ---------------------------------------------------------------------------
 
 
-def _match_hole(body: Formula, var: str, target: Formula) -> tuple[bool, Term | None]:
-    """Does ``body[t/var] == target`` for some term t?  Returns (ok, t);
-    t is None when var has no free occurrence (then body must equal
-    target and any instantiating term works)."""
+def _match(
+    pattern: Formula,
+    target: Formula,
+    term_policy,
+    bound: frozenset[str] = frozenset(),
+) -> bool:
+    """Structural match of target against pattern: same connectives, same
+    predicates, quantifiers over the same variables.  Argument terms go to
+    ``term_policy(p, t, bound)`` first, with bound the variables bound
+    above them; it decides with True/False, or returns None to demand the
+    same term (applications compared argument by argument)."""
+    cls = type(pattern)
+    if cls is not type(target):
+        return False
+    if cls is Forall or cls is Exists:
+        if pattern.var != target.var:
+            return False
+        bound = bound | {pattern.var}
+    elif cls is Atom and pattern.pred != target.pred:
+        return False
+    return _match_terms(atom_terms(pattern), atom_terms(target), term_policy, bound) and all(
+        _match(p, t, term_policy, bound) for p, t in zip(children(pattern), children(target))
+    )
+
+
+def _match_terms(ps, ts, term_policy, bound: frozenset[str]) -> bool:
+    if len(ps) != len(ts):
+        return False
+    for p, t in zip(ps, ts):
+        verdict = term_policy(p, t, bound)
+        if verdict is None:
+            verdict = (
+                p.func == t.func and _match_terms(p.args, t.args, term_policy, bound)
+                if type(p) is App and type(t) is App
+                else p == t
+            )
+        if not verdict:
+            return False
+    return True
+
+
+def _match_hole(body: Formula, var: str, target: Formula) -> bool:
+    """Does ``body[t/var] == target`` for some term t?  When var has no
+    free occurrence, body must equal target and any term t works."""
     candidates: list[Term] = []
 
-    def terms_match(b: Term, t: Term, bound: set[str]) -> bool:
-        if isinstance(b, Var) and b.name == var and var not in bound:
+    def hole(b: Term, t: Term, bound: frozenset[str]) -> bool | None:
+        if type(b) is Var and b.name == var and var not in bound:
             candidates.append(t)
             return True
-        if type(b) is not type(t):
-            return False
-        if isinstance(b, Var):
-            return b == t
-        if isinstance(b, (Const, ArrowVar)):
-            return b == t
-        assert isinstance(b, App) and isinstance(t, App)
-        return b.func == t.func and len(b.args) == len(t.args) and all(
-            terms_match(x, y, bound) for x, y in zip(b.args, t.args)
-        )
+        return None
 
-    def walk(b: Formula, t: Formula, bound: set[str]) -> bool:
-        if type(b) is not type(t):
-            return False
-        if isinstance(b, Falsum):
-            return True
-        if isinstance(b, Atom):
-            return b.pred == t.pred and len(b.args) == len(t.args) and all(
-                terms_match(x, y, bound) for x, y in zip(b.args, t.args)
-            )
-        if isinstance(b, Eq):
-            return terms_match(b.lhs, t.lhs, bound) and terms_match(b.rhs, t.rhs, bound)
-        if isinstance(b, Not):
-            return walk(b.body, t.body, bound)
-        if isinstance(b, (And, Or, Implies)):
-            return walk(b.lhs, t.lhs, bound) and walk(b.rhs, t.rhs, bound)
-        assert isinstance(b, (Forall, Exists))
-        if b.var != t.var:
-            return False
-        return walk(b.body, t.body, bound | {b.var})
-
-    if not walk(body, target, set()):
-        return (False, None)
+    if not _match(body, target, hole):
+        return False
     distinct = set(candidates)
     if not distinct:
-        return (True, None)
+        return True
     if len(distinct) > 1:
-        return (False, None)
-    t = distinct.pop()
+        return False
     # confirm via real substitution so capture rules stay authoritative
     try:
-        if substitute(body, var, t) != target:
-            return (False, None)
+        return substitute(body, var, distinct.pop()) == target
     except ValueError:
-        return (False, None)
-    return (True, t)
+        return False
 
 
 def _rewrite_ok(before: Formula, after: Formula, t: Term, u: Term) -> bool:
     """True iff ``after`` comes from ``before`` by replacing some free
     occurrences of t with u (no replacement under binders capturing
     variables of either side)."""
-    def term_vars(x: Term) -> set[str]:
-        if isinstance(x, Var):
-            return {x.name}
-        if isinstance(x, App):
-            out: set[str] = set()
-            for a in x.args:
-                out |= term_vars(a)
-            return out
-        return set()
-
     # binders over these names block replacement underneath them
-    frozen = term_vars(t) | term_vars(u)
+    frozen = term_free_plain_vars(t) | term_free_plain_vars(u)
 
-    def terms(b: Term, a: Term, bound: set[str]) -> bool:
+    def rewrite(b: Term, a: Term, bound: frozenset[str]) -> bool | None:
         if b == t and a == u and not (frozen & bound):
             return True
-        if b == a:
-            return True
-        if isinstance(b, App) and isinstance(a, App):
-            return b.func == a.func and len(b.args) == len(a.args) and all(
-                terms(x, y, bound) for x, y in zip(b.args, a.args)
-            )
-        return False
+        return None
 
-    def walk(b: Formula, a: Formula, bound: set[str]) -> bool:
-        if type(b) is not type(a):
-            return False
-        if isinstance(b, Falsum):
-            return True
-        if isinstance(b, Atom):
-            return b.pred == a.pred and len(b.args) == len(a.args) and all(
-                terms(x, y, bound) for x, y in zip(b.args, a.args)
-            )
-        if isinstance(b, Eq):
-            return terms(b.lhs, a.lhs, bound) and terms(b.rhs, a.rhs, bound)
-        if isinstance(b, Not):
-            return walk(b.body, a.body, bound)
-        if isinstance(b, (And, Or, Implies)):
-            return walk(b.lhs, a.lhs, bound) and walk(b.rhs, a.rhs, bound)
-        assert isinstance(b, (Forall, Exists))
-        if b.var != a.var:
-            return False
-        return walk(b.body, a.body, bound | {b.var})
-
-    return walk(before, after, set())
+    return _match(before, after, rewrite)
 
 
 def _match_renaming(
@@ -479,56 +454,18 @@ def _match_renaming(
     extending sigma in place.  Arrow variables rename through their
     base name; bound variables must agree literally."""
 
-    def term(p: Term, t: Term, bound: set[str]) -> bool:
-        if isinstance(p, Var):
-            if not isinstance(t, Var):
-                return False
-            if p.name in bound:
-                return p.name == t.name
-            if p.name in sigma:
-                return sigma[p.name] == t.name
-            sigma[p.name] = t.name
-            return True
-        if isinstance(p, ArrowVar):
-            if not isinstance(t, ArrowVar):
-                return False
-            if (p.direction, p.foreign, p.label) != (t.direction, t.foreign, t.label):
-                return False
-            if p.base in sigma:
-                return sigma[p.base] == t.base
-            sigma[p.base] = t.base
-            return True
-        if isinstance(p, Const):
-            return p == t
-        assert isinstance(p, App)
-        return (
-            isinstance(t, App)
-            and p.func == t.func
-            and len(p.args) == len(t.args)
-            and all(term(x, y, bound) for x, y in zip(p.args, t.args))
-        )
-
-    def walk(p: Formula, t: Formula, bound: set[str]) -> bool:
-        if type(p) is not type(t):
-            return False
-        if isinstance(p, Falsum):
-            return True
-        if isinstance(p, Atom):
-            return p.pred == t.pred and len(p.args) == len(t.args) and all(
-                term(x, y, bound) for x, y in zip(p.args, t.args)
+    def rename(p: Term, t: Term, bound: frozenset[str]) -> bool | None:
+        if type(p) is Var and p.name not in bound:
+            return type(t) is Var and sigma.setdefault(p.name, t.name) == t.name
+        if type(p) is ArrowVar:
+            return (
+                type(t) is ArrowVar
+                and (p.direction, p.foreign, p.label) == (t.direction, t.foreign, t.label)
+                and sigma.setdefault(p.base, t.base) == t.base
             )
-        if isinstance(p, Eq):
-            return term(p.lhs, t.lhs, bound) and term(p.rhs, t.rhs, bound)
-        if isinstance(p, Not):
-            return walk(p.body, t.body, bound)
-        if isinstance(p, (And, Or, Implies)):
-            return walk(p.lhs, t.lhs, bound) and walk(p.rhs, t.rhs, bound)
-        assert isinstance(p, (Forall, Exists))
-        if p.var != t.var:
-            return False
-        return walk(p.body, t.body, bound | {p.var})
+        return None
 
-    return walk(pattern, target, set())
+    return _match(pattern, target, rename)
 
 
 def _as_implication(f: Formula) -> tuple[Formula, Formula] | None:
@@ -737,16 +674,18 @@ class _Checker:
             src = prem[0].formula.formula
             if not isinstance(src, Forall):
                 return "allE premise must be a universal"
-            ok, _ = _match_hole(src.body, src.var, f)
-            return None if ok else "allE conclusion is not an instance of the body"
+            if _match_hole(src.body, src.var, f):
+                return None
+            return "allE conclusion is not an instance of the body"
 
         if name == "exI":
             if not isinstance(f, Exists):
                 return "exI must conclude an existential"
             if len(prem) != 1 or not same_index(prem[0]):
                 return "exI takes one premise at its own index"
-            ok, _ = _match_hole(f.body, f.var, prem[0].formula.formula)
-            return None if ok else "exI premise is not an instance of the body"
+            if _match_hole(f.body, f.var, prem[0].formula.formula):
+                return None
+            return "exI premise is not an instance of the body"
 
         if name == "exE":
             if len(prem) != 2:
@@ -904,7 +843,7 @@ class _Checker:
                     return (
                         "R1",
                         f"premise ({p.id}) carries existential "
-                        f"{', '.join(sorted(map(_render_arrow, ex)))}",
+                        f"{', '.join(sorted(map(render_term, ex)))}",
                     )
 
         # R2: only interface rules introduce new existential variables
@@ -916,7 +855,7 @@ class _Checker:
             if arrow not in self.existential(step.id):
                 return (
                     "R2",
-                    f"{_render_arrow(arrow)} must be existential in the conclusion",
+                    f"{render_term(arrow)} must be existential in the conclusion",
                 )
         elif name != "BR":
             inherited: set[ArrowVar] = set()
@@ -926,7 +865,7 @@ class _Checker:
             if new:
                 return (
                     "R2",
-                    f"introduces existential {', '.join(sorted(map(_render_arrow, new)))}",
+                    f"introduces existential {', '.join(sorted(map(render_term, new)))}",
                 )
 
         # R3: discharged assumptions must be local or complete
@@ -962,7 +901,7 @@ class _Checker:
                     if shared:
                         return (
                             "R4",
-                            f"existential {', '.join(sorted(map(_render_arrow, shared)))} "
+                            f"existential {', '.join(sorted(map(render_term, shared)))} "
                             f"of the major premise also occurs in assumption ({a})",
                         )
 
@@ -1079,11 +1018,6 @@ class _Checker:
                     f"assumption ({a}) is claimed local but is global",
                 )
         return CheckResult.valid()
-
-
-def _render_arrow(av: ArrowVar) -> str:
-    out = f"{av.base}^{av.direction}{av.foreign}"
-    return out + (f"@{av.label}" if av.label else "")
 
 
 def check_proof(script: ProofScript, *, config: CheckConfig | None = None) -> CheckResult:

@@ -453,9 +453,9 @@ def logical_consequence(
 
     # A check's verdict depends only on the components it touches, which a
     # memo keyed by their assigned values exploits across sibling branches.
-    memo: dict[tuple[int, tuple], tuple[bool, Assignment | None]] = {}
+    memo: dict[tuple[tuple[int, int], tuple], tuple[bool, Assignment | None]] = {}
 
-    def cached_check(slot: int, r: BridgeRule, comps) -> tuple[bool, Assignment | None]:
+    def cached_check(slot: tuple[int, int], r: BridgeRule, comps) -> tuple[bool, Assignment | None]:
         key = (slot, state_key(comps))
         hit = memo.get(key)
         if hit is None:
@@ -464,7 +464,7 @@ def logical_consequence(
 
     def checks_pass(t: int) -> bool:
         for slot, (r, comps) in enumerate(ready_at.get(t, ())):
-            if not cached_check((t << 8) | slot, r, comps)[0]:
+            if not cached_check((t, slot), r, comps)[0]:
                 return False
         return True
 
@@ -472,10 +472,10 @@ def logical_consequence(
     query_ready = max(position[name] for _, name in query_comps)
 
     def search(t: int) -> Assignment | None:
-        if t > query_ready and cached_check(-1, query, query_comps)[0]:
+        if t > query_ready and cached_check((-1, 0), query, query_comps)[0]:
             return None  # no completion below can be a countermodel
         if t == len(stages):
-            return cached_check(-1, query, query_comps)[1]
+            return cached_check((-1, 0), query, query_comps)[1]
         kind, name = stages[t]
         if kind == "idx":
             for choice, (domain, ms) in enumerate(parts_cache[name]):

@@ -102,8 +102,10 @@ from .syntax import (
     Var,
     _name_token,
     _parse_signature_block,
+    children,
     free_plain_vars,
     parse_theory,
+    rebuild,
     render_formula,
     substitute,
     tokenize,
@@ -858,13 +860,7 @@ class _QmlParser:
 def qml_depth(f) -> int:
     if isinstance(f, BoxF):
         return 1 + qml_depth(f.body)
-    if isinstance(f, Not):
-        return qml_depth(f.inner)
-    if isinstance(f, (And, Or, Implies)):
-        return max(qml_depth(f.lhs), qml_depth(f.rhs))
-    if isinstance(f, (Forall, Exists)):
-        return qml_depth(f.body)
-    return 0
+    return max(map(qml_depth, children(f)), default=0)
 
 
 def parse_qml(text: str) -> QmlSpec:
@@ -925,19 +921,7 @@ def qml_translate(f, index: int, registry: _BoxRegistry) -> Formula:
                 raise EncodeError(f"binding for {v!r} which is not free in the box body")
         args = tuple(bind.get(v, Var(v)) for v in params)
         return Atom(name, args)
-    if isinstance(f, Not):
-        return Not(qml_translate(f.inner, index, registry))
-    if isinstance(f, And):
-        return And(qml_translate(f.lhs, index, registry), qml_translate(f.rhs, index, registry))
-    if isinstance(f, Or):
-        return Or(qml_translate(f.lhs, index, registry), qml_translate(f.rhs, index, registry))
-    if isinstance(f, Implies):
-        return Implies(qml_translate(f.lhs, index, registry), qml_translate(f.rhs, index, registry))
-    if isinstance(f, Forall):
-        return Forall(f.var, qml_translate(f.body, index, registry))
-    if isinstance(f, Exists):
-        return Exists(f.var, qml_translate(f.body, index, registry))
-    return f
+    return rebuild(f, [qml_translate(g, index, registry) for g in children(f)])
 
 
 def _arrowed(f: Formula, params: tuple[str, ...], direction: str, foreign: str) -> Formula:
@@ -1093,13 +1077,8 @@ def _check_matrix(f) -> None:
         raise EncodeError("existential quantifier: Skolemize the input first")
     if isinstance(f, Forall):
         raise EncodeError("input formula is not in prenex form")
-    if isinstance(f, Not):
-        _check_matrix(f.inner)
-    elif isinstance(f, (And, Or, Implies)):
-        _check_matrix(f.lhs)
-        _check_matrix(f.rhs)
-    elif isinstance(f, IstF):
-        _check_matrix(f.body)
+    for g in (f.body,) if isinstance(f, IstF) else children(f):
+        _check_matrix(g)
 
 
 class _WffRegistry:
@@ -1123,19 +1102,7 @@ def qlc_translate(f, registry: _WffRegistry) -> Formula:
         name, params = registry.register(f.context, body)
         wff: Term = Const(name) if not params else App(name, tuple(Var(v) for v in params))
         return Atom("ist", (Const(f.context), wff))
-    if isinstance(f, Not):
-        return Not(qlc_translate(f.inner, registry))
-    if isinstance(f, And):
-        return And(qlc_translate(f.lhs, registry), qlc_translate(f.rhs, registry))
-    if isinstance(f, Or):
-        return Or(qlc_translate(f.lhs, registry), qlc_translate(f.rhs, registry))
-    if isinstance(f, Implies):
-        return Implies(qlc_translate(f.lhs, registry), qlc_translate(f.rhs, registry))
-    if isinstance(f, Forall):
-        return Forall(f.var, qlc_translate(f.body, registry))
-    if isinstance(f, Exists):
-        return Exists(f.var, qlc_translate(f.body, registry))
-    return f
+    return rebuild(f, [qlc_translate(g, registry) for g in children(f)])
 
 
 def encode_qlc(spec: QlcSpec) -> EncodedTheory:

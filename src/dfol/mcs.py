@@ -42,6 +42,7 @@ from typing import Iterator, Mapping
 from .syntax import (
     And,
     Atom,
+    Eq,
     Exists,
     Falsum,
     Forall,
@@ -50,7 +51,7 @@ from .syntax import (
     Not,
     Or,
     SyntaxError_,
-    Theory,
+    children,
     parse_formula,
     parse_theory,
     render_formula,
@@ -186,22 +187,14 @@ class _Scanner:
 
 
 def _assert_propositional(f: Formula) -> None:
-    if isinstance(f, Atom):
-        return
-    if isinstance(f, Falsum):
-        return
-    if isinstance(f, Not):
-        _assert_propositional(f.body)
-        return
-    if isinstance(f, (And, Or, Implies)):
-        _assert_propositional(f.lhs)
-        _assert_propositional(f.rhs)
-        return
     if isinstance(f, (Forall, Exists)):
         raise PropFormatError("axioms must be propositional, found a quantifier")
-    raise PropFormatError(
-        f"axioms must be propositional, found {render_formula(f)}"
-    )
+    if isinstance(f, Eq):
+        raise PropFormatError(
+            f"axioms must be propositional, found {render_formula(f)}"
+        )
+    for g in children(f):
+        _assert_propositional(g)
 
 
 def _parse_rule_atom(raw: str, sc: _Scanner) -> tuple[bool, str, str]:
@@ -435,4 +428,4 @@ def render_equilibrium(S: PropModelSet) -> str:
 
 
 def equilibrium_json_text(S: PropModelSet) -> str:
-    return json.dumps(equilibrium_to_json(S), indent=2, sort_keys=True) + "\n"
+    return json.dumps(equilibrium_to_json(S), indent=2) + "\n"

@@ -34,8 +34,11 @@ from .syntax import (
     Not,
     Or,
     Term,
-    Var,
+    atom_terms,
+    children,
     substitute,
+    subterms,
+    term_free_plain_vars,
 )
 
 DEFAULT_GAMMA_ROUNDS = 4
@@ -46,41 +49,11 @@ class _Exhausted(Exception):
     """Raised when the step budget runs out; treated as an open tableau."""
 
 
-def _is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, App):
-        return all(_is_ground(a) for a in t.args)
-    return True
-
-
 def _ground_terms(f: Formula) -> set[Term]:
     """All ground terms and ground subterms occurring in f."""
-    out: set[Term] = set()
-
-    def visit_term(t: Term) -> None:
-        if _is_ground(t):
-            out.add(t)
-        if isinstance(t, App):
-            for a in t.args:
-                visit_term(a)
-
-    def visit(g: Formula) -> None:
-        if isinstance(g, Atom):
-            for a in g.args:
-                visit_term(a)
-        elif isinstance(g, Eq):
-            visit_term(g.lhs)
-            visit_term(g.rhs)
-        elif isinstance(g, Not):
-            visit(g.body)
-        elif isinstance(g, (And, Or, Implies)):
-            visit(g.lhs)
-            visit(g.rhs)
-        elif isinstance(g, (Forall, Exists)):
-            visit(g.body)
-
-    visit(f)
+    out = {t for t in subterms(atom_terms(f)) if not term_free_plain_vars(t)}
+    for g in children(f):
+        out |= _ground_terms(g)
     return out
 
 

@@ -394,15 +394,13 @@ def _assignments_over(
 
 
 def enumerate_admissible(
-    M: DfolModel, formulas: Iterable[LabeledFormula], strict: bool = True
+    M: DfolModel, formulas: Iterable[LabeledFormula]
 ) -> Iterator[Assignment]:
     """Assignments over exactly the variables occurring in the formula set,
-    admissible for every formula.  Materialization already confines the
-    assignment to occurring variables, so `strict` (assign no arrow
-    variables beyond the formulas') is guaranteed by construction for
-    either flag value.
+    admissible for every formula.  Materialization confines the assignment
+    to occurring variables, so it is strict (assigns no arrow variables
+    beyond the formulas') by construction.
     """
-    del strict
     yield from _assignments_over(M, _variables_of(formulas))
 
 

@@ -20,6 +20,7 @@ right-associative binaries; `false` is falsum; `#` starts a line comment.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -68,6 +69,10 @@ __all__ = [
     "classify_variables",
     "render",
     "is_complete_term",
+    "children",
+    "rebuild",
+    "atom_terms",
+    "subterms",
 ]
 
 
@@ -886,70 +891,103 @@ def render_theory(theory: Theory) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Traversal core: the one place that knows which fields of a node hold its
+# subformulas and terms.  `type(f) is` tests, not isinstance chains, keep
+# the walkers cheap on the model-search hot path.
+# ---------------------------------------------------------------------------
+
+
+def children(f: Formula) -> tuple[Formula, ...]:
+    """Immediate subformulas: the body of a negation or quantifier, both
+    sides of a binary connective, none for atoms, equations and falsum."""
+    cls = type(f)
+    if cls is And or cls is Or or cls is Implies:
+        return (f.lhs, f.rhs)
+    if cls is Not or cls is Forall or cls is Exists:
+        return (f.body,)
+    return ()
+
+
+def rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
+    """The node f with `kids` (as many as `children(f)`) in place of its
+    immediate subformulas; leaves come back unchanged."""
+    cls = type(f)
+    if cls is And or cls is Or or cls is Implies or cls is Not:
+        return cls(*kids)
+    if cls is Forall or cls is Exists:
+        return cls(f.var, *kids)
+    if isinstance(f, Formula):
+        return f
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def atom_terms(f: Formula) -> tuple[Term, ...]:
+    """Argument terms of an atom, both sides of an equation; none for the
+    other formulas.  Anything that is not a formula is a TypeError."""
+    cls = type(f)
+    if cls is Atom:
+        return f.args
+    if cls is Eq:
+        return (f.lhs, f.rhs)
+    if isinstance(f, Formula):
+        return ()
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def subterms(terms: Iterable[Term]) -> list[Term]:
+    """The given terms and every term nested inside them."""
+    out = list(terms)
+    for t in out:  # the list grows while it is read
+        if type(t) is App:
+            out.extend(t.args)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Syntactic analysis
 # ---------------------------------------------------------------------------
 
 
 def term_free_plain_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, App):
-        out: set[str] = set()
-        for a in t.args:
-            out |= term_free_plain_vars(a)
-        return out
-    return set()
+    return {s.name for s in subterms((t,)) if type(s) is Var}
 
 
 def term_arrow_vars(t: Term) -> set[ArrowVar]:
-    if isinstance(t, ArrowVar):
-        return {t}
-    if isinstance(t, App):
-        out: set[ArrowVar] = set()
-        for a in t.args:
-            out |= term_arrow_vars(a)
-        return out
-    return set()
+    return {s for s in subterms((t,)) if type(s) is ArrowVar}
 
 
 def free_plain_vars(f: Formula) -> set[str]:
     """Free plain variables; arrow variables are never bound and not included."""
-    if isinstance(f, (Atom,)):
-        out: set[str] = set()
-        for a in f.args:
-            out |= term_free_plain_vars(a)
-        return out
-    if isinstance(f, Eq):
-        return term_free_plain_vars(f.lhs) | term_free_plain_vars(f.rhs)
-    if isinstance(f, Falsum):
-        return set()
-    if isinstance(f, Not):
-        return free_plain_vars(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return free_plain_vars(f.lhs) | free_plain_vars(f.rhs)
-    if isinstance(f, (Forall, Exists)):
+    cls = type(f)
+    if cls is Forall or cls is Exists:
         return free_plain_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    out: set[str] = set()
+    for t in atom_terms(f):
+        if type(t) is Var:
+            out.add(t.name)
+        elif type(t) is App:
+            out |= term_free_plain_vars(t)
+    for g in children(f):
+        out |= free_plain_vars(g)
+    return out
 
 
 def arrow_vars(f: Formula) -> set[ArrowVar]:
     """All arrow variables occurring in f (they are free wherever they occur)."""
-    if isinstance(f, Atom):
-        out: set[ArrowVar] = set()
-        for a in f.args:
-            out |= term_arrow_vars(a)
-        return out
-    if isinstance(f, Eq):
-        return term_arrow_vars(f.lhs) | term_arrow_vars(f.rhs)
-    if isinstance(f, Falsum):
-        return set()
-    if isinstance(f, Not):
-        return arrow_vars(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return arrow_vars(f.lhs) | arrow_vars(f.rhs)
-    if isinstance(f, (Forall, Exists)):
-        return arrow_vars(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    out: set[ArrowVar] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        kids = children(g)
+        if kids:
+            stack.extend(kids)
+            continue
+        for t in atom_terms(g):
+            if type(t) is ArrowVar:
+                out.add(t)
+            elif type(t) is App:
+                out |= term_arrow_vars(t)
+    return out
 
 
 def is_closed(f: Formula) -> bool:
@@ -974,24 +1012,11 @@ def substitute(f: Formula, var: str, replacement: Term) -> Formula:
     repl_vars = term_free_plain_vars(replacement)
 
     def go(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(substitute_term(a, var, replacement) for a in g.args))
-        if isinstance(g, Eq):
-            return Eq(
-                substitute_term(g.lhs, var, replacement),
-                substitute_term(g.rhs, var, replacement),
-            )
-        if isinstance(g, Falsum):
-            return g
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, And):
-            return And(go(g.lhs), go(g.rhs))
-        if isinstance(g, Or):
-            return Or(go(g.lhs), go(g.rhs))
-        if isinstance(g, Implies):
-            return Implies(go(g.lhs), go(g.rhs))
-        if isinstance(g, (Forall, Exists)):
+        cls = type(g)
+        if cls is Atom or cls is Eq:
+            terms = [substitute_term(a, var, replacement) for a in atom_terms(g)]
+            return Atom(g.pred, tuple(terms)) if cls is Atom else Eq(*terms)
+        if cls is Forall or cls is Exists:
             if g.var == var:
                 return g  # var is bound here; nothing free below
             if g.var in repl_vars and var in free_plain_vars(g.body):
@@ -999,46 +1024,33 @@ def substitute(f: Formula, var: str, replacement: Term) -> Formula:
                     f"substitution of {render_term(replacement)} for {var}"
                     f" would capture {g.var}"
                 )
-            cls = Forall if isinstance(g, Forall) else Exists
-            return cls(g.var, go(g.body))
-        raise TypeError(f"not a formula: {g!r}")
+        return rebuild(g, [go(k) for k in children(g)])
 
     return go(f)
 
 
-def _term_symbols(t: Term) -> set[tuple[str, str]]:
-    if isinstance(t, Const):
-        return {("const", t.name)}
-    if isinstance(t, App):
-        out = {("func", t.func)}
-        for a in t.args:
-            out |= _term_symbols(a)
-        return out
-    return set()
+def _term_symbols(terms: Iterable[Term]) -> set[tuple[str, str]]:
+    out: set[tuple[str, str]] = set()
+    for t in subterms(terms):
+        if type(t) is Const:
+            out.add(("const", t.name))
+        elif type(t) is App:
+            out.add(("func", t.func))
+    return out
 
 
 def formula_symbols(f: Formula) -> set[tuple[str, str]]:
     """All (kind, name) signature symbols occurring in f."""
-    if isinstance(f, Atom):
-        out = {("pred", f.pred)}
-        for a in f.args:
-            out |= _term_symbols(a)
-        return out
-    if isinstance(f, Eq):
-        return _term_symbols(f.lhs) | _term_symbols(f.rhs)
-    if isinstance(f, Falsum):
-        return set()
-    if isinstance(f, Not):
-        return formula_symbols(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return formula_symbols(f.lhs) | formula_symbols(f.rhs)
-    if isinstance(f, (Forall, Exists)):
-        return formula_symbols(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    out = _term_symbols(atom_terms(f))
+    if type(f) is Atom:
+        out.add(("pred", f.pred))
+    for g in children(f):
+        out |= formula_symbols(g)
+    return out
 
 
 def is_complete_term(sig: Signature, t: Term) -> bool:
-    return all(sig.is_complete(kind, name) for kind, name in _term_symbols(t))
+    return all(sig.is_complete(kind, name) for kind, name in _term_symbols((t,)))
 
 
 def is_complete_formula(sig: Signature, f: Formula) -> bool:

@@ -421,3 +421,22 @@ def test_counterexample_covers_all_indices():
     assert _is_theory_model(T, v.model)
     # index 3 is untouched by the query, so the completion leaves it empty
     assert v.model.models("3") == ()
+
+
+# -- rule checks are memoised per (stage, rule), however many rules ---------
+
+
+@pytest.mark.parametrize("copies", [255, 256, 257])
+def test_many_rules_ready_at_one_stage(copies):
+    # index 2 is staged first, so its copies + 1 rules are all ready at
+    # stage 0 and `==> 1: ~p` is the only rule of stage 1; with memo keys
+    # packed as (stage << 8) | slot, stage 0's slot 256 shared its entry
+    # with that rule
+    T = parse_theory(
+        "\n".join(
+            ["index 2, 1", "signature 2 { pred q/0; }", "signature 1 { pred p/0; }"]
+            + ["bridge ==> 2: q | ~q"] * copies
+            + ["bridge ==> 2: q", "bridge ==> 1: ~p"]
+        )
+    )
+    assert logical_consequence(T, [lf(T, "1: ~p")], lf(T, "2: q"), B12).holds

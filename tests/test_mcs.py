@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,25 @@ def test_equilibrium_json_is_stable():
         "contexts": {"1": [[]], "2": [["r"]]},
         "mc": [["not(1:p)", "not(2:q)"]],
     }
+
+
+@pytest.mark.parametrize(
+    "axiom", ["forall x. p", "q -> ~(exists y. p)", "p | x = y", "~(p & x = x)"]
+)
+def test_axioms_must_be_propositional_at_any_depth(axiom):
+    with pytest.raises(PropFormatError, match="propositional"):
+        parse_prop_system(f"context 1 {{ letters p, q; axiom {axiom}; }}")
+
+
+def test_equilibrium_json_keeps_declaration_order():
+    S = parse_prop_system(
+        "context zeta { letters p; }\n"
+        "context alpha { letters q; }\n"
+        "rule alpha:q <- zeta:p.\n"
+    )
+    data = json.loads(equilibrium_json_text(minimal_model(S)))
+    assert list(data["contexts"]) == ["zeta", "alpha"]
+    assert list(data) == ["contexts", "mc"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dfol.calculus import _match, _match_hole, _match_renaming, _rewrite_ok
 from dfol.syntax import (
     And,
     App,
@@ -25,12 +26,14 @@ from dfol.syntax import (
     SyntaxError_,
     Var,
     arrow_vars,
+    children,
     classify_variables,
     free_plain_vars,
     parse_bridge_rule_text,
     parse_formula,
     parse_labeled_formula,
     parse_theory,
+    rebuild,
     render,
     render_formula,
     render_theory,
@@ -395,3 +398,56 @@ def test_bridge_rule_render_round_trip(premises, conclusion):
         LabeledFormula("2", conclusion),
     )
     assert parse_bridge_rule_text(TWO_INDEX, render(rule)) == rule
+
+
+# ---------------------------------------------------------------------------
+# traversal core and the structural matcher built on it
+# ---------------------------------------------------------------------------
+
+
+def test_walkers_reject_non_formulas():
+    junk = Not("not a formula")
+    for walk in (free_plain_vars, arrow_vars, lambda f: substitute(f, "x", Const("c"))):
+        with pytest.raises(TypeError, match="not a formula"):
+            walk(junk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas())
+def test_rebuild_from_children_is_identity(phi):
+    assert rebuild(phi, children(phi)) == phi
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(), NAMES)
+def test_free_exactly_when_substitution_changes_the_formula(phi, x):
+    assert (x in free_plain_vars(phi)) == (substitute(phi, x, Const("c")) != phi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(), NAMES, terms())
+def test_hole_matching_recovers_the_substituted_term(body, x, t):
+    try:
+        target = substitute(body, x, t)
+    except ValueError:
+        assume(False)
+    found = []
+
+    def hole(b, u, bound):
+        if b == Var(x) and x not in bound:
+            found.append(u)
+            return True
+        return None
+
+    assert _match(body, target, hole)
+    assert set(found) == ({t} if x in free_plain_vars(body) else set())
+    assert _match_hole(body, x, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(), terms(), terms())
+def test_renaming_and_rewrite_matching_accept_a_formula_itself(phi, t, u):
+    sigma: dict[str, str] = {}
+    assert _match_renaming(phi, phi, sigma)
+    assert all(k == v for k, v in sigma.items())
+    assert _rewrite_ok(phi, phi, t, u)
