@@ -11,7 +11,7 @@ A premise set entails a goal on a fixed model exactly when the model
 satisfies the bridge rule `premises ==> goal`: every strictly
 premise-admissible assignment satisfying the premises extends to one
 satisfying the goal.  The search therefore reuses bridge-rule satisfaction
-from module semantics verbatim.
+from module semantics, with each rule compiled once per search.
 
 Enumeration is staged: indices and domain relations that cannot influence
 the query (they occur in no premise, goal, bridge rule, or arrow-variable
@@ -30,12 +30,14 @@ from .semantics import (
     Assignment,
     DfolModel,
     LocalModel,
-    satisfies_axiom,
+    _axiom_plan,
+    _relation_key,
+    _rule_plan,
+    _RulePlan,
     satisfies_bridge_rule,
     validate_model,
 )
 from .syntax import (
-    ArrowVar,
     BridgeRule,
     LabeledFormula,
     Signature,
@@ -236,16 +238,13 @@ def _labels_of(T: Theory) -> list[str | None]:
     return sorted(labels, key=lambda x: (x is not None, x))
 
 
-def _relation_key_for(av: ArrowVar, index: str) -> tuple[str, str, str | None]:
-    if av.direction == ">":
-        return (index, av.foreign, av.label)
-    return (av.foreign, index, av.label)
+def _theory_plans(T: Theory) -> list[_RulePlan]:
+    """T's axioms, then its bridge rules, each compiled once."""
+    return [_axiom_plan(ax) for ax in T.axioms] + [_rule_plan(r) for r in T.rules]
 
 
 def _is_theory_model(T: Theory, M: DfolModel) -> bool:
-    return all(satisfies_axiom(M, ax)[0] for ax in T.axioms) and all(
-        satisfies_bridge_rule(M, r)[0] for r in T.rules
-    )
+    return all(plan.check(M)[0] for plan in _theory_plans(T))
 
 
 def _joint_canonical_key(T: Theory, M: DfolModel):
@@ -284,6 +283,7 @@ def enumerate_models(T: Theory, bound: SearchBound) -> Iterator[DfolModel]:
     indices = list(T.indices)
     part_lists = [_index_parts(T.signature(i), bound) for i in indices]
     labels = _labels_of(T)
+    plans = _theory_plans(T)
     rel_keys = [
         (i, j, label)
         for i in indices
@@ -306,7 +306,7 @@ def enumerate_models(T: Theory, bound: SearchBound) -> Iterator[DfolModel]:
             if key in seen:
                 continue
             seen.add(key)
-            if _is_theory_model(T, M):
+            if all(plan.check(M)[0] for plan in plans):
                 yield M
 
 
@@ -319,7 +319,7 @@ def _formula_components(lf: LabeledFormula) -> set:
     comps: set = {("idx", lf.index)}
     for av in arrow_vars(lf.formula):
         comps.add(("idx", av.foreign))
-        comps.add(("rel", _relation_key_for(av, lf.index)))
+        comps.add(("rel", _relation_key(lf.index, av)))
     return comps
 
 
@@ -415,15 +415,11 @@ def logical_consequence(
 
     # Axioms touch one index only, so they filter that index's candidate
     # parts up front instead of re-running inside the stage product.
-    constraints: list[tuple[int, BridgeRule, tuple[tuple[str, object], ...]]] = []
+    ready_at: dict[int, list[tuple[_RulePlan, tuple[tuple[str, object], ...]]]] = {}
     for r in T.rules:
         comps = rule_components(r)
         ready = max(position[name] for _, name in comps)
-        constraints.append((ready, r, comps))
-
-    ready_at: dict[int, list[tuple[BridgeRule, tuple[tuple[str, object], ...]]]] = {}
-    for ready, r, comps in constraints:
-        ready_at.setdefault(ready, []).append((r, comps))
+        ready_at.setdefault(ready, []).append((_rule_plan(r), comps))
 
     domains: dict[str, tuple[str, ...]] = {}
     model_sets: dict[str, tuple[LocalModel, ...]] = {}
@@ -435,12 +431,12 @@ def logical_consequence(
         for i in stage_indices
     }
     for i in stage_indices:
-        local = [ax for ax in T.axioms if ax.index == i]
+        local = [_axiom_plan(ax) for ax in T.axioms if ax.index == i]
         if local:
             kept = []
             for domain, ms in parts_cache[i]:
                 probe = DfolModel({i: domain}, {i: ms}, {})
-                if all(satisfies_axiom(probe, ax)[0] for ax in local):
+                if all(plan.check(probe)[0] for plan in local):
                     kept.append((domain, ms))
             parts_cache[i] = kept
 
@@ -455,27 +451,28 @@ def logical_consequence(
     # memo keyed by their assigned values exploits across sibling branches.
     memo: dict[tuple[tuple[int, int], tuple], tuple[bool, Assignment | None]] = {}
 
-    def cached_check(slot: tuple[int, int], r: BridgeRule, comps) -> tuple[bool, Assignment | None]:
+    def cached_check(slot: tuple[int, int], plan: _RulePlan, comps) -> tuple[bool, Assignment | None]:
         key = (slot, state_key(comps))
         hit = memo.get(key)
         if hit is None:
-            hit = memo[key] = satisfies_bridge_rule(M, r)
+            hit = memo[key] = plan.check(M)
         return hit
 
     def checks_pass(t: int) -> bool:
-        for slot, (r, comps) in enumerate(ready_at.get(t, ())):
-            if not cached_check((t, slot), r, comps)[0]:
+        for slot, (plan, comps) in enumerate(ready_at.get(t, ())):
+            if not cached_check((t, slot), plan, comps)[0]:
                 return False
         return True
 
+    query_plan = _rule_plan(query)
     query_comps = rule_components(query)
     query_ready = max(position[name] for _, name in query_comps)
 
     def search(t: int) -> Assignment | None:
-        if t > query_ready and cached_check((-1, 0), query, query_comps)[0]:
+        if t > query_ready and cached_check((-1, 0), query_plan, query_comps)[0]:
             return None  # no completion below can be a countermodel
         if t == len(stages):
-            return cached_check((-1, 0), query, query_comps)[1]
+            return cached_check((-1, 0), query_plan, query_comps)[1]
         kind, name = stages[t]
         if kind == "idx":
             for choice, (domain, ms) in enumerate(parts_cache[name]):

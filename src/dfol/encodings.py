@@ -102,6 +102,7 @@ from .syntax import (
     Var,
     _name_token,
     _parse_signature_block,
+    _whole_formula,
     children,
     free_plain_vars,
     parse_theory,
@@ -887,7 +888,7 @@ def parse_qml(text: str) -> QmlSpec:
             sig = _parse_signature_block(ts, sig)
         elif ts.accept("ident", "formula"):
             sources.append(lines[ts.peek().line - 1].strip())
-            formulas.append(_QmlParser(sig, ts).formula())
+            formulas.append(_whole_formula(_QmlParser(sig, ts)))
         else:
             raise ts.error("expected semantics, domains, signature, or formula")
     if domains is None:
@@ -1055,7 +1056,7 @@ def parse_qlc(text: str) -> QlcSpec:
                 raise ts.error(f"unknown context {home!r}")
             ts.expect(":")
             sources.append(lines[ts.peek().line - 1].strip())
-            formulas.append((home, _QlcParser(sig, ts, contexts).formula()))
+            formulas.append((home, _whole_formula(_QlcParser(sig, ts, contexts))))
         else:
             raise ts.error("expected contexts, signature, or formula")
     if len(set(contexts)) != len(contexts):
@@ -1073,12 +1074,16 @@ def _check_prenex(f: Formula) -> None:
 
 
 def _check_matrix(f) -> None:
-    if isinstance(f, Exists):
-        raise EncodeError("existential quantifier: Skolemize the input first")
-    if isinstance(f, Forall):
-        raise EncodeError("input formula is not in prenex form")
-    for g in (f.body,) if isinstance(f, IstF) else children(f):
-        _check_matrix(g)
+    # an explicit stack, in pre-order: a long left-nested & chain parses
+    # without recursion and must be checkable without it
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Exists):
+            raise EncodeError("existential quantifier: Skolemize the input first")
+        if isinstance(g, Forall):
+            raise EncodeError("input formula is not in prenex form")
+        stack.extend(reversed((g.body,) if isinstance(g, IstF) else children(g)))
 
 
 class _WffRegistry:

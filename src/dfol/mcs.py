@@ -28,7 +28,7 @@ System files look like::
     rule 2:r <- not(1:p).
 
 `letters` and `axiom` entries may repeat inside a block; axioms are
-propositional formulas over the block's letters (`~ & | -> true false`).
+propositional formulas over the block's letters (`~ & | -> false`).
 A rule with no `<-` part is a fact and is always applicable.
 """
 

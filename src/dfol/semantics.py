@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 from .syntax import (
@@ -243,6 +244,14 @@ class Assignment:
         return f"Assignment({body})"
 
 
+def _relation_key(index: str, av: ArrowVar) -> tuple[str, str, str | None]:
+    """The relation an arrow variable at `index` maps through:
+    r_{index,foreign} for to-variables, r_{foreign,index} for from-variables."""
+    if av.direction == ">":
+        return (index, av.foreign, av.label)
+    return (av.foreign, index, av.label)
+
+
 def _arrow_condition(M: DfolModel, a: Assignment, index: str, av: ArrowVar) -> bool:
     """Def. Assignment conditions: to-variables map through r_{index,foreign},
     from-variables through r_{foreign,index}, anchored at the plain variable."""
@@ -250,9 +259,8 @@ def _arrow_condition(M: DfolModel, a: Assignment, index: str, av: ArrowVar) -> b
     anchor = a.get(av.foreign, Var(av.base))
     if value is None or anchor is None:
         return False
-    if av.direction == ">":
-        return (value, anchor) in M.rel(index, av.foreign, av.label)
-    return (anchor, value) in M.rel(av.foreign, index, av.label)
+    pair = (value, anchor) if av.direction == ">" else (anchor, value)
+    return pair in M.rel(*_relation_key(index, av))
 
 
 def validate_assignment(M: DfolModel, a: Assignment) -> list[str]:
@@ -375,9 +383,8 @@ def _assignments_over(
         anchor = values.get((av.foreign, Var(av.base)))
         if anchor is None:
             return False
-        if av.direction == ">":
-            return (value, anchor) in M.rel(index, av.foreign, av.label)
-        return (anchor, value) in M.rel(av.foreign, index, av.label)
+        pair = (value, anchor) if av.direction == ">" else (anchor, value)
+        return pair in M.rel(*_relation_key(index, av))
 
     def rec(k: int) -> Iterator[Assignment]:
         if k == n:
@@ -402,35 +409,6 @@ def enumerate_admissible(
     beyond the formulas') by construction.
     """
     yield from _assignments_over(M, _variables_of(formulas))
-
-
-def admissible_extensions(
-    M: DfolModel, a: Assignment, lf: LabeledFormula
-) -> Iterator[Assignment]:
-    """Extensions of a assigning lf's missing arrow variables admissibly,
-    in deterministic element order; yields a itself when nothing is missing."""
-    missing = sorted(
-        (av for av in arrow_vars(lf.formula) if not a.defined(lf.index, av)),
-        key=render_term,
-    )
-
-    def rec(k: int, acc: Assignment) -> Iterator[Assignment]:
-        if k == len(missing):
-            if is_admissible(M, acc, lf):
-                yield acc
-            return
-        av = missing[k]
-        anchor = acc.get(av.foreign, Var(av.base))
-        if anchor is None:
-            return
-        if av.direction == ">":
-            candidates = sorted(d for d, e in M.rel(lf.index, av.foreign, av.label) if e == anchor)
-        else:
-            candidates = sorted(e for d, e in M.rel(av.foreign, lf.index, av.label) if d == anchor)
-        for value in candidates:
-            yield from rec(k + 1, acc.extend([(lf.index, av, value)]))
-
-    yield from rec(0, a)
 
 
 # ---------------------------------------------------------------------------
@@ -459,30 +437,152 @@ def _rule_slots(rule: BridgeRule) -> list[tuple[str, Term]]:
     return sorted(slots | premise_arrows, key=lambda s: (s[0], render_term(s[1])))
 
 
+def _formula_vars(f: Formula) -> list[Term]:
+    """The variables f reads from an assignment, in a fixed order."""
+    return sorted(
+        [Var(name) for name in free_plain_vars(f)] + list(arrow_vars(f)), key=render_term
+    )
+
+
+class _RulePlan:
+    """A bridge rule compiled once against its outer slots, so that
+    checking it on a model is a walk over a flat list of slot values.
+
+    Everything that depends on the rule alone is resolved here:
+    - `conditions[k]`: the arrow conditions decidable once slot k is bound,
+      as (first, second, relation key): the pair of those slots' values
+      must lie in the relation;
+    - `premises[k]`: the premises whose last variable is slot k, as (index,
+      formula, env spec), an env spec being (variable, slot position)
+      pairs; `closed` holds the premises with no variable at all;
+    - the conclusion's (index, formula, env spec), and its `missing` arrow
+      variables (variable, anchor position, relation key, whether the
+      variable's value comes first in a pair), in extension-search order.
+
+    An axiom is a premise-free plan whose arrow variables are all slots.
+    """
+
+    def __init__(
+        self,
+        slots: list[tuple[str, Term]],
+        premises: Iterable[LabeledFormula],
+        conclusion: LabeledFormula,
+    ):
+        pos = {s: k for k, s in enumerate(slots)}
+        self.slots = slots
+        self.conditions: list[list[tuple[int, int, tuple]]] = [[] for _ in slots]
+        for k, (index, var) in enumerate(slots):
+            if isinstance(var, ArrowVar):
+                anchor = pos[(var.foreign, Var(var.base))]
+                first, second = (k, anchor) if var.direction == ">" else (anchor, k)
+                self.conditions[max(k, anchor)].append(
+                    (first, second, _relation_key(index, var))
+                )
+        self.closed: list[tuple[str, Formula, list[tuple[Term, int]]]] = []
+        self.premises: list[list[tuple[str, Formula, list[tuple[Term, int]]]]] = [
+            [] for _ in slots
+        ]
+        for lf in premises:
+            spec = [(v, pos[(lf.index, v)]) for v in _formula_vars(lf.formula)]
+            entry = (lf.index, lf.formula, spec)
+            if spec:
+                self.premises[max(k for _, k in spec)].append(entry)
+            else:
+                self.closed.append(entry)
+        index = conclusion.index
+        spec = []
+        self.missing: list[tuple[ArrowVar, int, tuple, bool]] = []
+        for v in _formula_vars(conclusion.formula):
+            if (index, v) in pos:
+                spec.append((v, pos[(index, v)]))
+            else:
+                anchor = pos[(v.foreign, Var(v.base))]
+                self.missing.append(
+                    (v, anchor, _relation_key(index, v), v.direction == ">")
+                )
+        self.conclusion = (index, conclusion.formula, spec)
+
+    def check(self, M: DfolModel) -> tuple[bool, Assignment | None]:
+        """(True, None) iff every admissible assignment over the slots that
+        satisfies the premises extends to one satisfying the conclusion;
+        otherwise (False, the first failing assignment in lexicographic
+        order).  A subtree is dropped as soon as a premise fails in it, which
+        skips only assignments the plain sweep would skip too."""
+        n = len(self.slots)
+        domains = [sorted(M.domains.get(i, ())) for i, _ in self.slots]
+        conditions = [
+            [(a, b, M.rel(*key)) for a, b, key in at_k] for at_k in self.conditions
+        ]
+        premises = [
+            [(f, M.models(i), spec) for i, f, spec in at_k] for at_k in self.premises
+        ]
+        c_index, c_formula, c_spec = self.conclusion
+        c_models = M.models(c_index)
+        missing = [
+            (v, anchor, M.rel(*key), value_first)
+            for v, anchor, key, value_first in self.missing
+        ]
+        missing_vars = [v for v, *_ in missing]
+        values: list[str] = [""] * n
+
+        def holds(f: Formula, models: tuple[LocalModel, ...], spec) -> bool:
+            env = {v: values[k] for v, k in spec}
+            return all(satisfies_local(m, f, env) for m in models)
+
+        def extends() -> bool:
+            env = {v: values[k] for v, k in c_spec}
+            choices = []
+            for _, anchor, rel, value_first in missing:
+                at = values[anchor]
+                if value_first:
+                    choices.append(sorted(d for d, e in rel if e == at))
+                else:
+                    choices.append(sorted(e for d, e in rel if d == at))
+            for combo in product(*choices):
+                env.update(zip(missing_vars, combo))
+                if all(satisfies_local(m, c_formula, env) for m in c_models):
+                    return True
+            return False
+
+        def fails_below(k: int) -> bool:
+            if k == n:
+                return not extends()
+            for elem in domains[k]:
+                values[k] = elem
+                if not all((values[a], values[b]) in rel for a, b, rel in conditions[k]):
+                    continue
+                if all(holds(*p) for p in premises[k]) and fails_below(k + 1):
+                    return True
+            return False
+
+        if all(holds(f, M.models(i), spec) for i, f, spec in self.closed) and fails_below(0):
+            return False, Assignment(
+                (i, v, values[k]) for k, (i, v) in enumerate(self.slots)
+            )
+        return True, None
+
+
+def _rule_plan(rule: BridgeRule) -> _RulePlan:
+    return _RulePlan(_rule_slots(rule), rule.premises, rule.conclusion)
+
+
+def _axiom_plan(ax: LabeledFormula) -> _RulePlan:
+    return _RulePlan(_variables_of([ax]), (), ax)
+
+
 def satisfies_bridge_rule(
     M: DfolModel, rule: BridgeRule
 ) -> tuple[bool, Assignment | None]:
     """(True, None) iff every strictly premise-admissible assignment that
     satisfies all premises admits an extension satisfying the conclusion;
     otherwise (False, witnessing assignment)."""
-    for a in _assignments_over(M, _rule_slots(rule)):
-        if not all(satisfies_labeled(M, p, a) for p in rule.premises):
-            continue
-        if not any(
-            satisfies_labeled(M, rule.conclusion, ext)
-            for ext in admissible_extensions(M, a, rule.conclusion)
-        ):
-            return False, a
-    return True, None
+    return _rule_plan(rule).check(M)
 
 
 def satisfies_axiom(M: DfolModel, ax: LabeledFormula) -> tuple[bool, Assignment | None]:
     """An axiom holds when every admissible assignment over its variables
     satisfies it; closed axioms reduce to the single empty assignment."""
-    for a in enumerate_admissible(M, [ax]):
-        if not satisfies_labeled(M, ax, a):
-            return False, a
-    return True, None
+    return _axiom_plan(ax).check(M)
 
 
 @dataclass

@@ -601,6 +601,16 @@ class _FormulaParser:
         return ArrowVar(name, arrow.text[1], foreign, label)
 
 
+def _whole_formula(parser) -> Formula:
+    """parser.formula() for a recursive-descent formula parser; input
+    nested deeper than the interpreter's recursion limit allows is a
+    SyntaxError_ at the token where the parse gave out."""
+    try:
+        return parser.formula()
+    except RecursionError:
+        raise parser.ts.error("formula nested too deeply") from None
+
+
 def _parse_label(ts: TokenStream) -> str:
     tok = _name_token(ts, "an index label")
     ts.expect(":")
@@ -610,7 +620,7 @@ def _parse_label(ts: TokenStream) -> str:
 def parse_formula(theory: Theory, index: str, text: str) -> Formula:
     """Parse an unlabeled formula in the language of `index`."""
     ts = TokenStream(tokenize(text))
-    f = _FormulaParser(theory, index, ts).formula()
+    f = _whole_formula(_FormulaParser(theory, index, ts))
     tok = ts.peek()
     if tok.kind != "eof":
         raise SyntaxError_(f"trailing input {tok.text!r}", tok.line, tok.col)
@@ -623,7 +633,7 @@ def parse_labeled_formula(theory: Theory, text: str) -> LabeledFormula:
     index = _parse_label(ts)
     if index not in theory.signatures:
         raise SyntaxError_(f"undeclared index {index!r}", 1, 1)
-    f = _FormulaParser(theory, index, ts).formula()
+    f = _whole_formula(_FormulaParser(theory, index, ts))
     tok = ts.peek()
     if tok.kind != "eof":
         raise SyntaxError_(f"trailing input {tok.text!r}", tok.line, tok.col)
@@ -635,13 +645,13 @@ def _parse_bridge_rule(theory: Theory, ts: TokenStream, origin: str | None = Non
     if not ts.at("==>"):
         while True:
             index = _parse_label(ts)
-            f = _FormulaParser(theory, index, ts).formula()
+            f = _whole_formula(_FormulaParser(theory, index, ts))
             premises.append(LabeledFormula(index, f))
             if not ts.accept(","):
                 break
     ts.expect("==>")
     index = _parse_label(ts)
-    f = _FormulaParser(theory, index, ts).formula()
+    f = _whole_formula(_FormulaParser(theory, index, ts))
     return BridgeRule(tuple(premises), LabeledFormula(index, f), origin)
 
 
@@ -700,7 +710,7 @@ def parse_theory(text: str) -> Theory:
             index = _parse_label(ts)
             if index not in theory.signatures:
                 raise ts.error(f"undeclared index {index!r}")
-            f = _FormulaParser(theory, index, ts).formula()
+            f = _whole_formula(_FormulaParser(theory, index, ts))
             theory.axioms += (LabeledFormula(index, f),)
         elif tok.text == "bridge":
             declared_rules.append(_parse_bridge_rule(theory, ts))

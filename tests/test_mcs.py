@@ -127,6 +127,17 @@ def test_axioms_must_be_propositional_at_any_depth(axiom):
         parse_prop_system(f"context 1 {{ letters p, q; axiom {axiom}; }}")
 
 
+def test_true_is_not_an_axiom_connective():
+    with pytest.raises(PropFormatError, match="'true'"):
+        parse_prop_system("context 1 { letters p; axiom p | true; }")
+
+
+@pytest.mark.parametrize("depth", [300, 1000])
+def test_deeply_nested_axiom_is_a_format_error(depth):
+    with pytest.raises(PropFormatError, match="nested too deeply"):
+        parse_prop_system(f"context 1 {{ letters p; axiom {'(' * depth}p{')' * depth}; }}")
+
+
 def test_equilibrium_json_keeps_declaration_order():
     S = parse_prop_system(
         "context zeta { letters p; }\n"

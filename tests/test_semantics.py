@@ -7,11 +7,17 @@ and the domain relations connect the one ball both observers see.
 
 from __future__ import annotations
 
+from itertools import product
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfol.relations import bridge_rules_for_property
 from dfol.semantics import (
+    _rule_slots,
+    _variables_of,
     Assignment,
     DfolModel,
     LocalModel,
@@ -20,6 +26,7 @@ from dfol.semantics import (
     eval_term,
     load_model,
     model_to_json,
+    satisfies_axiom,
     satisfies_bridge_rule,
     satisfies_labeled,
     satisfies_local,
@@ -30,12 +37,17 @@ from dfol.syntax import (
     App,
     ArrowVar,
     Const,
+    RelationProperty,
     Var,
+    arrow_vars,
     parse_bridge_rule_text,
     parse_formula,
     parse_labeled_formula,
     parse_theory,
+    render_bridge_rule,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 MBOX_THEORY = parse_theory(
     """
@@ -640,3 +652,134 @@ def test_assignment_env_slices_by_index():
     a = Assignment([("1", Var("x"), "a"), ("2", Var("x"), "b")])
     assert a.env("1") == {Var("x"): "a"}
     assert a.env("2") == {Var("x"): "b"}
+
+
+# ---------------------------------------------------------------------------
+# bridge-rule and axiom checks against a naive sweep
+# ---------------------------------------------------------------------------
+
+DIFF_THEORY = parse_theory(
+    """
+    index 1, 2, 3
+    signature 1 { pred p/1, q/1; }
+    signature 2 { pred s/1, t/1; }
+    signature 3 { pred r/2; }
+    """
+)
+
+DIFF_RULES = [
+    parse_bridge_rule_text(DIFF_THEORY, text)
+    for text in (
+        # the cut/glue fixture's rules
+        "1: p(x) ==> 2: s(x^<1)",
+        "1: q(x) ==> 2: t(x^<1)",
+        # query containment, a three-index join, inconsistency propagation
+        "1: p(x^>2) ==> 2: s(x)",
+        "1: p(x^>3), 2: s(y^>3) ==> 3: r(x, y)",
+        "2: false ==> 1: false",
+        # no premise; a premise arrow reused by the conclusion
+        "==> 2: exists y. y = x^<1",
+        "1: p(x^>2) ==> 1: q(x^>2) | exists y. y = z^>3",
+        # six slots; the premise on the first slot can fail before the
+        # others are bound
+        "1: q(x), 2: s(y) & t(z), 3: r(u, v) & r(v, w) ==> 3: r(u, w) | r(x^<1, w)",
+    )
+] + [
+    rule
+    for kind, arity in RelationProperty.ARITIES.items()
+    for rule in bridge_rules_for_property(RelationProperty(kind, ("1", "2", "3")[:arity]))
+]
+
+DIFF_AXIOMS = [
+    parse_labeled_formula(DIFF_THEORY, text)
+    for text in (
+        "1: p(x) -> q(x)",
+        "2: exists y. s(y)",
+        "1: p(x^>2) | q(x^>3)",
+        "3: r(x, y^<1) -> r(y^<2, x)",
+    )
+]
+
+
+def _naive_sweep(M, slots):
+    """Every assignment over the slots in lexicographic order, kept when
+    its arrow variables meet their relation conditions."""
+    for elems in product(*(sorted(M.domains[i]) for i, _ in slots)):
+        a = Assignment([(i, v, e) for (i, v), e in zip(slots, elems)])
+        if not validate_assignment(M, a):
+            yield a
+
+
+def _naive_bridge_rule(M, rule):
+    concl = rule.conclusion
+    for a in _naive_sweep(M, _rule_slots(rule)):
+        if not all(satisfies_labeled(M, p, a) for p in rule.premises):
+            continue
+        missing = [av for av in arrow_vars(concl.formula) if not a.defined(concl.index, av)]
+        if not any(
+            satisfies_labeled(M, concl, a.extend((concl.index, av, e) for av, e in zip(missing, elems)))
+            for elems in product(M.domains[concl.index], repeat=len(missing))
+        ):
+            return False, a
+    return True, None
+
+
+def _naive_axiom(M, ax):
+    for a in _naive_sweep(M, _variables_of([ax])):
+        if not satisfies_labeled(M, ax, a):
+            return False, a
+    return True, None
+
+
+@st.composite
+def small_models(draw):
+    """Models over DIFF_THEORY: domains of one or two elements, zero to two
+    local models per index, and random relations between every pair."""
+    domains = {i: ("a", "b")[: draw(st.integers(1, 2))] for i in DIFF_THEORY.indices}
+    model_sets = {}
+    for i, dom in domains.items():
+        def local():
+            return make_local_model(
+                dom,
+                preds={
+                    p: draw(st.sets(st.sampled_from(list(product(dom, repeat=k)))))
+                    for p, k in DIFF_THEORY.signatures[i].preds
+                },
+            )
+
+        model_sets[i] = tuple(local() for _ in range(draw(st.integers(0, 2))))
+    relations = {
+        (i, j, None): frozenset(draw(st.sets(st.sampled_from(list(product(domains[i], domains[j]))))))
+        for i in domains
+        for j in domains
+        if i != j
+    }
+    return DfolModel(domains, model_sets, relations)
+
+
+def test_differential_rules_cover_a_six_slot_rule_and_every_property():
+    assert max(len(_rule_slots(r)) for r in DIFF_RULES) >= 6
+    origins = {r.origin.partition("(")[0] for r in DIFF_RULES if r.origin}
+    assert origins == set(RelationProperty.ARITIES)
+
+
+def test_magic_box_rules_match_naive_sweep():
+    rules = parse_theory((FIXTURES / "magicbox.dfol").read_text()).rules
+    m2_empty = make_local_model(DOM2, consts=dict(M2.consts))
+    for M in (mbox_model(), mbox_model(model_sets={"1": (M1,), "2": (m2_empty,)})):
+        for rule in rules:
+            assert satisfies_bridge_rule(M, rule) == _naive_bridge_rule(M, rule), render_bridge_rule(rule)
+
+
+@settings(max_examples=150, deadline=None)
+@given(M=small_models())
+def test_bridge_rule_check_matches_naive_sweep(M):
+    for rule in DIFF_RULES:
+        assert satisfies_bridge_rule(M, rule) == _naive_bridge_rule(M, rule), render_bridge_rule(rule)
+
+
+@settings(max_examples=150, deadline=None)
+@given(M=small_models())
+def test_axiom_check_matches_naive_sweep(M):
+    for ax in DIFF_AXIOMS:
+        assert satisfies_axiom(M, ax) == _naive_axiom(M, ax), ax

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dfol.calculus import _match, _match_hole, _match_renaming, _rewrite_ok
+from dfol.encodings import parse_qlc, parse_qml
 from dfol.syntax import (
     And,
     App,
@@ -451,3 +452,59 @@ def test_renaming_and_rewrite_matching_accept_a_formula_itself(phi, t, u):
     assert _match_renaming(phi, phi, sigma)
     assert all(k == v for k, v in sigma.items())
     assert _rewrite_ok(phi, phi, t, u)
+
+
+# ---------------------------------------------------------------------------
+# nesting deeper than the recursive descent can follow
+# ---------------------------------------------------------------------------
+
+
+def _parens(depth: int) -> str:
+    return "(" * depth + "p(x)" + ")" * depth
+
+
+@pytest.mark.parametrize("depth", [300, 1000])
+@pytest.mark.parametrize(
+    "parse",
+    [
+        lambda text: parse_formula(TWO_INDEX, "1", text),
+        lambda text: parse_labeled_formula(TWO_INDEX, "1: " + text),
+        lambda text: parse_bridge_rule_text(TWO_INDEX, f"1: {text} ==> 2: p(x^<1)"),
+        lambda text: parse_bridge_rule_text(TWO_INDEX, f"2: s(y) ==> 1: {text}"),
+        lambda text: parse_theory(
+            "index 1; signature 1 { pred p/1; } axiom 1: " + text
+        ),
+        lambda text: parse_qml("signature { pred p/1; } formula " + text),
+        lambda text: parse_qlc("contexts k signature { pred p/1; } formula k: " + text),
+    ],
+    ids=["formula", "labeled", "premise", "conclusion", "theory", "qml", "qlc"],
+)
+def test_deep_parentheses_are_a_syntax_error(parse, depth):
+    with pytest.raises(SyntaxError_, match="nested too deeply"):
+        parse(_parens(depth))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "~" * 1000 + "p(x)",
+        "forall y. " * 1000 + "p(x)",
+        " -> ".join(["p(x)"] * 1000),
+        "p(" + "f(" * 1000 + "c" + ")" * 1000 + ")",
+    ],
+    ids=["negations", "quantifiers", "implications", "terms"],
+)
+def test_every_deep_chain_is_a_syntax_error(text):
+    with pytest.raises(SyntaxError_, match="nested too deeply"):
+        parse_formula(TWO_INDEX, "1", text)
+
+
+def test_long_flat_chains_still_parse():
+    # the formula parser nests & to the right, still within reach at 300;
+    # the qlc parser builds & chains in a loop, and its prenex check over
+    # them must not recurse either
+    f = parse_formula(TWO_INDEX, "1", " & ".join(["p(x)"] * 300))
+    assert isinstance(f, And)
+    assert parse_qlc(
+        "contexts k signature { pred p/1; } formula k: " + " & ".join(["p(x)"] * 1000)
+    ).formulas
