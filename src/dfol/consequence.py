@@ -13,11 +13,17 @@ premise-admissible assignment satisfying the premises extends to one
 satisfying the goal.  The search therefore reuses bridge-rule satisfaction
 from module semantics, with each rule compiled once per search.
 
-Enumeration is staged: indices and domain relations that cannot influence
-the query (they occur in no premise, goal, bridge rule, or arrow-variable
-axiom) are fixed to a one-element domain with an empty local-model set,
-and every axiom or rule is checked as soon as the last index or relation
-it mentions has been chosen, pruning the cross product early.
+One staged depth-first search serves both entry points.  Its stages are
+the indices, each followed by the domain relations whose later endpoint it
+is; every bridge rule and arrow-bearing axiom is checked (memoized on the
+choices it reads) as soon as its last stage is chosen, and arrow-free
+axioms filter each index's candidate parts up front.  logical_consequence
+adds the query as a check that must fail, stages only the indices and
+relations some check reads (the rest get a one-element domain with an
+empty local-model set), and stops at the first leaf.  enumerate_models
+stages every index and relation and keeps each leaf that is new up to
+renaming: every part is the least of its orbit, so the parts'
+automorphisms, found while canonicalizing them, break the joint symmetry.
 """
 
 from __future__ import annotations
@@ -183,17 +189,17 @@ def _part_key(ms: tuple[LocalModel, ...]):
 
 def _index_parts(
     sig: Signature, bound: SearchBound, nonempty: bool = False
-) -> list[tuple[tuple[str, ...], tuple[LocalModel, ...]]]:
-    """Canonical (domain, model set) choices for one index, in deterministic
-    order: domain sizes ascending, then complete-fragment interpretation,
-    then model sets by (cardinality, position).  A part is kept only if no
-    renaming of its domain elements yields a smaller canonical key."""
-    parts: list[tuple[tuple[str, ...], tuple[LocalModel, ...]]] = []
+) -> list[tuple[tuple[str, ...], tuple[LocalModel, ...], tuple[dict[str, str], ...]]]:
+    """Canonical (domain, model set, automorphisms) choices for one index,
+    in deterministic order: domain sizes ascending, then complete-fragment
+    interpretation, then model sets by (cardinality, position).  A part is
+    kept only if no renaming of its domain elements yields a smaller
+    canonical key; the renamings that yield the same key, identity first,
+    are its automorphisms."""
+    parts = []
     for size in range(1, bound.max_domain_size + 1):
         domain = _domain(size)
-        perms = [
-            dict(zip(domain, image)) for image in permutations(domain) if image != domain
-        ]
+        identity, *perms = [dict(zip(domain, image)) for image in permutations(domain)]
         by_shared: dict = {}
         for shared, m in _local_models(sig, domain):
             by_shared.setdefault(shared.key(), []).append(m)
@@ -205,13 +211,16 @@ def _index_parts(
                     key = _part_key(ms)
                     if key in emitted:
                         continue
-                    if any(
-                        _part_key(tuple(_permuted_local(m, pi) for m in ms)) < key
-                        for pi in perms
-                    ):
-                        continue
-                    emitted.add(key)
-                    parts.append((domain, ms))
+                    autos = [identity]
+                    for pi in perms:
+                        renamed = _part_key(tuple(_permuted_local(m, pi) for m in ms))
+                        if renamed < key:
+                            break
+                        if renamed == key:
+                            autos.append(pi)
+                    else:
+                        emitted.add(key)
+                        parts.append((domain, ms, tuple(autos)))
     return parts
 
 
@@ -224,8 +233,123 @@ def _relation_subsets(
 
 
 # ---------------------------------------------------------------------------
-# Model enumeration (plain, spec-shaped)
+# The staged search
 # ---------------------------------------------------------------------------
+
+_Stage = tuple[str, object]  # ("idx", index) or ("rel", relation key)
+
+
+def _formula_components(lf: LabeledFormula) -> set[_Stage]:
+    """The stages a check over lf reads: its index, and for every arrow
+    variable the relation it maps through and that relation's far endpoint,
+    whose domain arrow admissibility sweeps."""
+    comps: set[_Stage] = {("idx", lf.index)}
+    for av in arrow_vars(lf.formula):
+        comps.add(("idx", av.foreign))
+        comps.add(("rel", _relation_key(lf.index, av)))
+    return comps
+
+
+def _components(formulas: Iterable[LabeledFormula]) -> tuple[_Stage, ...]:
+    return tuple(set().union(*map(_formula_components, formulas)))
+
+
+def _theory_checks(T: Theory) -> list[tuple[_RulePlan, tuple[_Stage, ...], bool]]:
+    """T's bridge rules and arrow-bearing axioms, each compiled once, with
+    the stages it reads and the verdict it must have (both must hold).
+    Arrow-free axioms filter each index's parts instead."""
+    checks = [(_rule_plan(r), _components([*r.premises, r.conclusion]), True) for r in T.rules]
+    checks += [
+        (_axiom_plan(ax), _components([ax]), True) for ax in T.axioms if arrow_vars(ax.formula)
+    ]
+    return checks
+
+
+class _StagedSearch:
+    """Depth-first search over the models of T on the given indices and
+    relations, one stage per component: indices in the order given, each
+    relation right after its later endpoint.
+
+    Every check is run once its last stage is chosen, memoized on the
+    choices of the stages it reads, and prunes the branch unless its
+    verdict is the required one.  `leaves()` yields the live model at
+    each surviving leaf; `results[c]` then holds check c's (verdict,
+    witness) for that leaf, and `choice` the option taken at each stage.
+    """
+
+    def __init__(
+        self,
+        T: Theory,
+        bound: SearchBound,
+        indices: list[str],
+        rel_keys: Iterable[tuple[str, str, str | None]],
+        checks: list[tuple[_RulePlan, tuple[_Stage, ...], bool]],
+        nonempty: bool = False,
+    ):
+        at = {i: t for t, i in enumerate(indices)}
+        rel_keys = sorted(rel_keys, key=lambda k: (k[0], k[1], k[2] or ""))
+        self.stages: list[_Stage] = []
+        for i in indices:
+            self.stages.append(("idx", i))
+            self.stages += [("rel", k) for k in rel_keys if max(at[k[0]], at[k[1]]) == at[i]]
+        position = {name: t for t, (_, name) in enumerate(self.stages)}
+        self.ready: dict[int, list] = {}
+        for c, (plan, comps, must_hold) in enumerate(checks):
+            ready = max(position[name] for _, name in comps)
+            self.ready.setdefault(ready, []).append((c, plan, comps, must_hold))
+        self.parts = {}
+        for i in indices:
+            local = [
+                _axiom_plan(ax) for ax in T.axioms if ax.index == i and not arrow_vars(ax.formula)
+            ]
+            self.parts[i] = [
+                part
+                for part in _index_parts(T.signature(i), bound, nonempty)
+                if all(plan.check(DfolModel({i: part[0]}, {i: part[1]}, {}))[0] for plan in local)
+            ]
+        self.model = DfolModel({}, {}, {})
+        # Interned choice ids keep memo keys small integers instead of deep
+        # structures that would be re-hashed on every lookup.
+        self.choice: dict[object, int] = {name: -1 for _, name in self.stages}
+        self.results: list[tuple[bool, Assignment | None] | None] = [None] * len(checks)
+        self.memo: dict[tuple[int, tuple[int, ...]], tuple[bool, Assignment | None]] = {}
+
+    def _passes(self, t: int) -> bool:
+        for c, plan, comps, must_hold in self.ready.get(t, ()):
+            key = (c, tuple(self.choice[name] for _, name in comps))
+            hit = self.memo.get(key)
+            if hit is None:
+                hit = self.memo[key] = plan.check(self.model)
+            self.results[c] = hit
+            if hit[0] != must_hold:
+                return False
+        return True
+
+    def leaves(self, t: int = 0) -> Iterator[DfolModel]:
+        if t == len(self.stages):
+            yield self.model
+            return
+        kind, name = self.stages[t]
+        M = self.model
+        if kind == "idx":
+            options = self.parts[name]
+        else:
+            options = _relation_subsets(M.domains[name[0]], M.domains[name[1]])
+        # A stage's old value needs no clearing on the way back: checks
+        # ready at a stage read only that stage and earlier ones.
+        for choice, option in enumerate(options):
+            if kind == "idx":
+                M.domains[name], M.model_sets[name], _ = option
+            else:
+                M.relations[name] = option
+            self.choice[name] = choice
+            if self._passes(t):
+                yield from self.leaves(t + 1)
+
+
+def _is_theory_model(T: Theory, M: DfolModel) -> bool:
+    plans = [_axiom_plan(ax) for ax in T.axioms] + [_rule_plan(r) for r in T.rules]
+    return all(plan.check(M)[0] for plan in plans)
 
 
 def _labels_of(T: Theory) -> list[str | None]:
@@ -238,110 +362,38 @@ def _labels_of(T: Theory) -> list[str | None]:
     return sorted(labels, key=lambda x: (x is not None, x))
 
 
-def _theory_plans(T: Theory) -> list[_RulePlan]:
-    """T's axioms, then its bridge rules, each compiled once."""
-    return [_axiom_plan(ax) for ax in T.axioms] + [_rule_plan(r) for r in T.rules]
-
-
-def _is_theory_model(T: Theory, M: DfolModel) -> bool:
-    return all(plan.check(M)[0] for plan in _theory_plans(T))
-
-
-def _joint_canonical_key(T: Theory, M: DfolModel):
-    indices = list(T.indices)
-    perm_space = [
-        [dict(zip(M.domains[i], image)) for image in permutations(M.domains[i])]
-        for i in indices
-    ]
-    best = None
-    for pis in product(*perm_space):
-        by_index = dict(zip(indices, pis))
-        parts = tuple(
-            _part_key(tuple(_permuted_local(m, by_index[i]) for m in M.models(i)))
-            for i in indices
-        )
-        rels = tuple(
-            (
-                (src, tgt, label or ""),
-                tuple(
-                    sorted((by_index[src][d], by_index[tgt][e]) for d, e in pairs)
-                ),
-            )
-            for (src, tgt, label), pairs in sorted(
-                M.relations.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2] or "")
-            )
-        )
-        key = (parts, rels)
-        if best is None or key < best:
-            best = key
-    return (tuple(len(M.domains[i]) for i in indices), best)
-
-
 def enumerate_models(T: Theory, bound: SearchBound) -> Iterator[DfolModel]:
     """Every model of T (axioms and bridge rules) within the bound, up to
-    renaming of domain elements, in deterministic order."""
+    renaming of domain elements, in deterministic order.
+
+    Each part is the least of its orbit, so a renaming between two leaves
+    maps every part onto itself: it lies in the product of the parts'
+    automorphism groups, and the least relation tuple over that product
+    tells the leaves apart."""
     indices = list(T.indices)
-    part_lists = [_index_parts(T.signature(i), bound) for i in indices]
-    labels = _labels_of(T)
-    plans = _theory_plans(T)
-    rel_keys = [
-        (i, j, label)
-        for i in indices
-        for j in indices
-        if i != j
-        for label in labels
-    ]
+    rel_keys = [(i, j, label) for i in indices for j in indices if i != j for label in _labels_of(T)]
+    search = _StagedSearch(T, bound, indices, rel_keys, _theory_checks(T))
     seen: set = set()
-    for parts in product(*part_lists):
-        domains = {i: p[0] for i, p in zip(indices, parts)}
-        model_sets = {i: p[1] for i, p in zip(indices, parts)}
-        rel_streams = [
-            [(key, rel) for rel in _relation_subsets(domains[key[0]], domains[key[1]])]
-            for key in rel_keys
-        ]
-        for rel_combo in product(*rel_streams):
-            relations = {key: rel for key, rel in rel_combo}
-            M = DfolModel(dict(domains), dict(model_sets), relations)
-            key = _joint_canonical_key(T, M)
-            if key in seen:
-                continue
+    for M in search.leaves():
+        renamings = product(*(search.parts[i][search.choice[i]][2] for i in indices))
+        key = (
+            tuple(search.choice[i] for i in indices),
+            min(
+                tuple(
+                    tuple(sorted((pi[src][d], pi[tgt][e]) for d, e in M.relations[(src, tgt, label)]))
+                    for src, tgt, label in rel_keys
+                )
+                for pi in (dict(zip(indices, pis)) for pis in renamings)
+            ),
+        )
+        if key not in seen:
             seen.add(key)
-            if all(plan.check(M)[0] for plan in plans):
-                yield M
+            yield DfolModel(dict(M.domains), dict(M.model_sets), dict(M.relations))
 
 
 # ---------------------------------------------------------------------------
-# Staged consequence search
+# Consequence
 # ---------------------------------------------------------------------------
-
-
-def _formula_components(lf: LabeledFormula) -> set:
-    comps: set = {("idx", lf.index)}
-    for av in arrow_vars(lf.formula):
-        comps.add(("idx", av.foreign))
-        comps.add(("rel", _relation_key(lf.index, av)))
-    return comps
-
-
-def _involved_components(
-    T: Theory, premises: Iterable[LabeledFormula], goal: LabeledFormula
-):
-    """Indices and relation keys that can influence the query: those of the
-    premises and goal, of every bridge rule, and of every axiom mentioning
-    an arrow variable.  Arrow-free axioms at untouched indices hold in the
-    empty-model-set completion, so their indices stay out."""
-    comps: set = set()
-    for lf in list(premises) + [goal]:
-        comps |= _formula_components(lf)
-    for r in T.rules:
-        for lf in list(r.premises) + [r.conclusion]:
-            comps |= _formula_components(lf)
-    for ax in T.axioms:
-        if arrow_vars(ax.formula):
-            comps |= _formula_components(ax)
-    indices = {name for kind, name in comps if kind == "idx"}
-    rel_keys = {name for kind, name in comps if kind == "rel"}
-    return indices, rel_keys
 
 
 def _complete_counterexample(T: Theory, M: DfolModel) -> DfolModel:
@@ -375,132 +427,25 @@ def logical_consequence(
     """
     premises = tuple(premises)
     query = BridgeRule(premises, goal)
-    involved_idx, involved_rels = _involved_components(T, premises, goal)
-
-    query_own: set = set()
-    for lf in list(premises) + [goal]:
-        query_own |= _formula_components(lf)
-    query_idx = {name for kind, name in query_own if kind == "idx"}
+    checks = _theory_checks(T)
+    query_comps = _components([*premises, goal])
+    checks.append((_rule_plan(query), query_comps, False))
+    # Only the components some check reads can influence the query; the
+    # rest are fixed by the completion.
+    involved = {c for _, comps, _ in checks for c in comps}
     # Indices the query itself touches come first: once they are staged the
     # query's verdict is fixed, and branches where it already holds are
     # pruned without enumerating the remaining components.
-    stage_indices = [i for i in T.indices if i in involved_idx]
-    stage_indices.sort(key=lambda i: (i not in query_idx, T.indices.index(i)))
-    stage_rels = sorted(involved_rels, key=lambda k: (k[0], k[1], k[2] or ""))
-    # Each relation stage sits right after its endpoint indices, so the
-    # rules over that relation prune before unrelated indices branch.
-    idx_pos = {i: t for t, i in enumerate(stage_indices)}
-    stages: list[tuple[str, object]] = [("idx", i) for i in stage_indices]
-    for k in sorted(stage_rels, key=lambda k: max(idx_pos[k[0]], idx_pos[k[1]])):
-        after = max(idx_pos[k[0]], idx_pos[k[1]])
-        spot = len(stages)
-        for t, (kind, name) in enumerate(stages):
-            if kind == "idx" and idx_pos[name] > after:
-                spot = t
-                break
-        stages.insert(spot, ("rel", k))
-    position = {name: t for t, (_, name) in enumerate(stages)}
-
-    def rule_components(r: BridgeRule) -> tuple[tuple[str, object], ...]:
-        comps: set[tuple[str, object]] = set()
-        for lf in list(r.premises) + [r.conclusion]:
-            comps |= _formula_components(lf)
-        # Arrow admissibility sweeps both endpoint domains, so a relation
-        # component pulls its endpoints in as dependencies as well.
-        for kind, name in tuple(comps):
-            if kind == "rel":
-                comps.add(("idx", name[0]))
-                comps.add(("idx", name[1]))
-        return tuple(sorted(comps, key=lambda c: (c[0], str(c[1]))))
-
-    # Axioms touch one index only, so they filter that index's candidate
-    # parts up front instead of re-running inside the stage product.
-    ready_at: dict[int, list[tuple[_RulePlan, tuple[tuple[str, object], ...]]]] = {}
-    for r in T.rules:
-        comps = rule_components(r)
-        ready = max(position[name] for _, name in comps)
-        ready_at.setdefault(ready, []).append((_rule_plan(r), comps))
-
-    domains: dict[str, tuple[str, ...]] = {}
-    model_sets: dict[str, tuple[LocalModel, ...]] = {}
-    relations: dict[tuple[str, str, str | None], frozenset] = {}
-    M = DfolModel(domains, model_sets, relations)
-
-    parts_cache = {
-        i: _index_parts(T.signature(i), bound, nonempty=_nonempty_model_sets)
-        for i in stage_indices
-    }
-    for i in stage_indices:
-        local = [_axiom_plan(ax) for ax in T.axioms if ax.index == i]
-        if local:
-            kept = []
-            for domain, ms in parts_cache[i]:
-                probe = DfolModel({i: domain}, {i: ms}, {})
-                if all(plan.check(probe)[0] for plan in local):
-                    kept.append((domain, ms))
-            parts_cache[i] = kept
-
-    # Interned choice ids keep memo keys small integers instead of deep
-    # structures that would be re-hashed on every lookup.
-    current_choice: dict[object, int] = {name: -1 for _, name in stages}
-
-    def state_key(comps: tuple[tuple[str, object], ...]) -> tuple:
-        return tuple(current_choice[name] for _, name in comps)
-
-    # A check's verdict depends only on the components it touches, which a
-    # memo keyed by their assigned values exploits across sibling branches.
-    memo: dict[tuple[tuple[int, int], tuple], tuple[bool, Assignment | None]] = {}
-
-    def cached_check(slot: tuple[int, int], plan: _RulePlan, comps) -> tuple[bool, Assignment | None]:
-        key = (slot, state_key(comps))
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = plan.check(M)
-        return hit
-
-    def checks_pass(t: int) -> bool:
-        for slot, (plan, comps) in enumerate(ready_at.get(t, ())):
-            if not cached_check((t, slot), plan, comps)[0]:
-                return False
-        return True
-
-    query_plan = _rule_plan(query)
-    query_comps = rule_components(query)
-    query_ready = max(position[name] for _, name in query_comps)
-
-    def search(t: int) -> Assignment | None:
-        if t > query_ready and cached_check((-1, 0), query_plan, query_comps)[0]:
-            return None  # no completion below can be a countermodel
-        if t == len(stages):
-            return cached_check((-1, 0), query_plan, query_comps)[1]
-        kind, name = stages[t]
-        if kind == "idx":
-            for choice, (domain, ms) in enumerate(parts_cache[name]):
-                domains[name] = domain
-                model_sets[name] = ms
-                current_choice[name] = choice
-                if checks_pass(t):
-                    found = search(t + 1)
-                    if found is not None:
-                        return found
-            del domains[name]
-            del model_sets[name]
-        else:
-            src, tgt, _ = name
-            for choice, rel in enumerate(_relation_subsets(domains[src], domains[tgt])):
-                relations[name] = rel
-                current_choice[name] = choice
-                if checks_pass(t):
-                    found = search(t + 1)
-                    if found is not None:
-                        return found
-            del relations[name]
-        return None
-
-    witness = search(0)
-    if witness is None:
+    indices = sorted(
+        (i for i in T.indices if ("idx", i) in involved),
+        key=lambda i: (("idx", i) not in query_comps, T.indices.index(i)),
+    )
+    rel_keys = [name for kind, name in involved if kind == "rel"]
+    search = _StagedSearch(T, bound, indices, rel_keys, checks, _nonempty_model_sets)
+    M = next(search.leaves(), None)
+    if M is None:
         return Verdict.holds_within_bound(bound)
-
+    witness = search.results[-1][1]  # the query is the last check
     counter = _complete_counterexample(T, M)
     _revalidate(T, counter, query, witness)
     return Verdict.counterexample(bound, counter, witness)

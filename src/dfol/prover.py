@@ -51,9 +51,15 @@ class _Exhausted(Exception):
 
 def _ground_terms(f: Formula) -> set[Term]:
     """All ground terms and ground subterms occurring in f."""
-    out = {t for t in subterms(atom_terms(f)) if not term_free_plain_vars(t)}
-    for g in children(f):
-        out |= _ground_terms(g)
+    out: set[Term] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        kids = children(g)
+        if kids:
+            stack.extend(kids)
+        else:
+            out.update(t for t in subterms(atom_terms(g)) if not term_free_plain_vars(t))
     return out
 
 
@@ -160,9 +166,10 @@ class _Prover:
             while pending:
                 self.tick()
                 sign, f = pending.pop()
-                if (sign, f) in br.seen:
-                    continue
+                seen = len(br.seen)
                 br.seen.add((sign, f))
+                if len(br.seen) == seen:
+                    continue  # one hash per formula: hashing walks the whole formula
                 br.terms |= _ground_terms(f)
                 if isinstance(f, Falsum):
                     if sign:

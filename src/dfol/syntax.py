@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from operator import is_not
 
 __all__ = [
     "Var",
@@ -186,6 +187,37 @@ class Exists:
 Formula = Atom | Eq | Falsum | Not | And | Or | Implies | Forall | Exists
 
 
+def _formula_hash(f: Formula) -> int:
+    """hash(f), consistent with ==, without recursion: the parser accepts
+    & chains longer than the dataclass hash, which recurses once per
+    level, can follow.  It hashes f in prefix form, which the node types
+    make unambiguous.  The connectives are spelled out, as in substitute,
+    because the tableau hashes every formula it meets."""
+    prefix = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        cls = type(g)
+        if cls is And or cls is Or or cls is Implies:
+            prefix.append(cls)
+            stack.append(g.rhs)
+            stack.append(g.lhs)
+        elif cls is Not:
+            prefix.append(cls)
+            stack.append(g.body)
+        elif cls is Forall or cls is Exists:
+            prefix += (cls, g.var)
+            stack.append(g.body)
+        else:
+            prefix.append(g)
+    return hash(tuple(prefix))
+
+
+for _cls in (Not, And, Or, Implies, Forall, Exists):
+    _cls.__hash__ = _formula_hash
+del _cls
+
+
 @dataclass(frozen=True)
 class LabeledFormula:
     """Formula at an index, e.g. `1: inbox(x, r)`.
@@ -290,7 +322,7 @@ class Theory:
         try:
             return self.signatures[index]
         except KeyError:
-            raise SyntaxError_(f"undeclared index {index!r}", 0, 0) from None
+            raise KeyError(f"undeclared index {index!r}") from None
 
     def local_axioms(self, index: str) -> tuple[LabeledFormula, ...]:
         return tuple(ax for ax in self.axioms if ax.index == index)
@@ -1006,10 +1038,14 @@ def is_closed(f: Formula) -> bool:
 
 
 def substitute_term(t: Term, var: str, replacement: Term) -> Term:
-    if isinstance(t, Var):
+    """t with `replacement` for the variable `var`; t itself if var does
+    not occur in it."""
+    if type(t) is Var:
         return replacement if t.name == var else t
-    if isinstance(t, App):
-        return App(t.func, tuple(substitute_term(a, var, replacement) for a in t.args))
+    if type(t) is App:
+        args = tuple(substitute_term(a, var, replacement) for a in t.args)
+        if any(map(is_not, args, t.args)):
+            return App(t.func, args)
     return t  # constants and arrow variables are untouched: x^>j is not x
 
 
@@ -1020,23 +1056,56 @@ def substitute(f: Formula, var: str, replacement: Term) -> Formula:
     a quantifier of the target formula.
     """
     repl_vars = term_free_plain_vars(replacement)
-
-    def go(g: Formula) -> Formula:
+    # The parser accepts & chains longer than a recursive walk can follow,
+    # so the walk uses a stack: pre-order onto a list, then rebuilt in
+    # reverse, each node taking its rebuilt children off `done`.
+    # Unchanged subformulas come back as the same object, so a changed
+    # quantifier body is one where `var` occurs free.  The connectives are
+    # spelled out, not reached through children/rebuild, because this is
+    # the tableau's gamma rule.
+    order = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        order.append(g)
+        cls = type(g)
+        if cls is And or cls is Or or cls is Implies:
+            stack.append(g.rhs)
+            stack.append(g.lhs)
+        elif cls is Not or ((cls is Forall or cls is Exists) and g.var != var):
+            stack.append(g.body)
+    done: list[Formula] = []
+    captured = None
+    for g in reversed(order):
         cls = type(g)
         if cls is Atom or cls is Eq:
-            terms = [substitute_term(a, var, replacement) for a in atom_terms(g)]
-            return Atom(g.pred, tuple(terms)) if cls is Atom else Eq(*terms)
-        if cls is Forall or cls is Exists:
-            if g.var == var:
-                return g  # var is bound here; nothing free below
-            if g.var in repl_vars and var in free_plain_vars(g.body):
-                raise ValueError(
-                    f"substitution of {render_term(replacement)} for {var}"
-                    f" would capture {g.var}"
-                )
-        return rebuild(g, [go(k) for k in children(g)])
-
-    return go(f)
+            terms = atom_terms(g)
+            new = [substitute_term(t, var, replacement) for t in terms]
+            if any(map(is_not, new, terms)):
+                g = Atom(g.pred, tuple(new)) if cls is Atom else Eq(*new)
+        elif cls is And or cls is Or or cls is Implies:
+            lhs = done.pop()
+            rhs = done.pop()
+            if lhs is not g.lhs or rhs is not g.rhs:
+                g = cls(lhs, rhs)
+        elif cls is Not:
+            body = done.pop()
+            if body is not g.body:
+                g = Not(body)
+        elif (cls is Forall or cls is Exists) and g.var != var:
+            body = done.pop()
+            if body is not g.body:
+                if g.var in repl_vars:
+                    captured = g.var  # reverse pre-order: the outermost comes last
+                g = cls(g.var, body)
+        elif not isinstance(g, Formula):
+            raise TypeError(f"not a formula: {g!r}")
+        done.append(g)
+    if captured is not None:
+        raise ValueError(
+            f"substitution of {render_term(replacement)} for {var} would capture {captured}"
+        )
+    return done[0]
 
 
 def _term_symbols(terms: Iterable[Term]) -> set[tuple[str, str]]:

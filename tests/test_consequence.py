@@ -4,11 +4,14 @@ over classical first-order consequence, and directionality."""
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfol import (
+    DfolModel,
     SearchBound,
     Verdict,
     enumerate_models,
@@ -20,7 +23,14 @@ from dfol import (
     satisfies_bridge_rule,
     validate_model,
 )
-from dfol.consequence import _is_theory_model
+from dfol.consequence import (
+    _index_parts,
+    _is_theory_model,
+    _labels_of,
+    _part_key,
+    _permuted_local,
+    _relation_subsets,
+)
 from dfol.syntax import (
     And,
     Atom,
@@ -130,6 +140,130 @@ def test_enumeration_is_deterministic():
     first = [M.key() for M in enumerate_models(T, B12)]
     second = [M.key() for M in enumerate_models(T, B12)]
     assert first == second
+
+
+# -- the enumerator against a brute-force reference ------------------------
+# The reference builds the full product of parts and relations and tells
+# models apart by their least key over every joint renaming of the domains.
+
+
+def _brute_force_key(T, M):
+    indices = list(T.indices)
+    renamings = product(
+        *([dict(zip(M.domains[i], image)) for image in permutations(M.domains[i])] for i in indices)
+    )
+    best = None
+    for pis in renamings:
+        pi = dict(zip(indices, pis))
+        parts = tuple(
+            _part_key(tuple(_permuted_local(m, pi[i]) for m in M.models(i))) for i in indices
+        )
+        rels = tuple(
+            ((src, tgt, label or ""), tuple(sorted((pi[src][d], pi[tgt][e]) for d, e in pairs)))
+            for (src, tgt, label), pairs in sorted(
+                M.relations.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2] or "")
+            )
+        )
+        if best is None or (parts, rels) < best:
+            best = (parts, rels)
+    return (tuple(len(M.domains[i]) for i in indices), best)
+
+
+def _brute_force_keys(T, bound):
+    indices = list(T.indices)
+    rel_keys = [(i, j, label) for i in indices for j in indices if i != j for label in _labels_of(T)]
+    seen, models = set(), set()
+    for parts in product(*(_index_parts(T.signature(i), bound) for i in indices)):
+        domains = {i: p[0] for i, p in zip(indices, parts)}
+        model_sets = {i: p[1] for i, p in zip(indices, parts)}
+        streams = [[(k, rel) for rel in _relation_subsets(domains[k[0]], domains[k[1]])] for k in rel_keys]
+        for rels in product(*streams):
+            M = DfolModel(dict(domains), dict(model_sets), dict(rels))
+            key = _brute_force_key(T, M)
+            if key not in seen:
+                seen.add(key)
+                if _is_theory_model(T, M):
+                    models.add(key)
+    return models
+
+
+def _assert_matches_brute_force(T, bound):
+    models = list(enumerate_models(T, bound))
+    keys = {_brute_force_key(T, M) for M in models}
+    assert len(keys) == len(models)
+    assert keys == _brute_force_keys(T, bound)
+    return len(models)
+
+
+UNARY_PAIR = "index 1, 2\nsignature 1 { pred p/1; }\nsignature 2 { pred s/1; }\n"
+
+
+@pytest.mark.parametrize(
+    "text,bound,count",
+    [
+        (UNARY_PAIR + "bridge 1: p(x) ==> 2: s(x^<1)", (2, 1), 1104),
+        (UNARY_PAIR, (2, 1), 2068),
+        ("index 1, 2\nsignature 1 { pred p/0; }\nsignature 2 { pred s/1; }\nproperty fun 1 2", (2, 2), 2360),
+    ],
+)
+def test_enumeration_matches_brute_force_under_joint_renaming(text, bound, count):
+    assert _assert_matches_brute_force(parse_theory(text), SearchBound(*bound)) == count
+
+
+def _atoms(p1, s1):
+    """The atoms of p and s, over x and over its counterpart."""
+    return ("p(x)", "p(x^>2)") if p1 else ("p", "p"), ("s(x)", "s(x^<1)") if s1 else ("s", "s")
+
+
+@st.composite
+def two_index_theories(draw):
+    p1, s1 = draw(st.booleans()), draw(st.booleans())
+    p, s = _atoms(p1, s1)
+    lines = [
+        "index 1, 2",
+        f"signature 1 {{ pred p/{int(p1)}; }}",
+        f"signature 2 {{ pred s/{int(s1)}; }}",
+    ]
+    statements = [
+        f"bridge 1: {p[0]} ==> 2: {s[1]}",
+        f"bridge 2: {s[0]} ==> 1: {p[1]}",
+        "bridge 1: x = x ==> 2: exists y. y = x^<1",
+        f"axiom 1: {p[1]}",
+        f"axiom 2: exists x. ~{s[0]}",
+    ] + [f"property {tag} 1 2" for tag in ("fun", "tot", "inj", "sur")]
+    lines += draw(st.lists(st.sampled_from(statements), max_size=2, unique=True))
+    # two local models per set make the reference's product too large
+    # once a unary predicate is involved
+    bound = SearchBound(2, 1) if p1 or s1 else SearchBound(2, 2)
+    return parse_theory("\n".join(lines)), bound
+
+
+@settings(max_examples=6, deadline=None)
+@given(two_index_theories())
+def test_enumeration_matches_brute_force_on_random_theories(case):
+    _assert_matches_brute_force(*case)
+
+
+@settings(max_examples=10, deadline=None)
+@given(two_index_theories(), st.integers(0, 4))
+def test_consequence_agrees_with_a_sweep_over_enumerated_models(case, pick):
+    # a query holds within the bound iff every enumerated model satisfies
+    # it as a bridge rule; the consequence search stages only what the
+    # query reads and stops at its first countermodel
+    T, bound = case
+    p, s = _atoms(("p", 1) in T.signature("1").preds, ("s", 1) in T.signature("2").preds)
+    premises, goal = [
+        ([], f"1: {p[0]}"),
+        ([f"1: {p[0]}"], f"2: {s[1]}"),
+        ([f"2: {s[0]}"], f"1: {p[1]}"),
+        ([f"1: ~{p[1]}"], "1: false"),
+        ([], f"2: exists x. ~{s[0]}"),
+    ][pick]
+    premises = [lf(T, t) for t in premises]
+    goal = lf(T, goal)
+    query = BridgeRule(tuple(premises), goal)
+    swept = all(satisfies_bridge_rule(M, query)[0] for M in enumerate_models(T, bound))
+    assert logical_consequence(T, premises, goal, bound).holds == swept
 
 
 def test_complete_symbols_agree_across_enumerated_sets():
@@ -368,6 +502,24 @@ def test_arrow_transfer_fails_when_a_model_set_is_empty():
     assert any(v.model.models(i) == () for i in ("1", "2"))
     ok, _ = satisfies_bridge_rule(v.model, BridgeRule((premise,), goal))
     assert not ok
+
+
+def test_arrow_bearing_axiom_constrains_the_search():
+    # the axiom makes p hold of every counterpart of an element at 2, so a
+    # premise denying it of one has no model but those with no local model
+    # at 1, where the goal holds vacuously
+    T = parse_theory(
+        """
+        index 1, 2
+        signature 1 { pred p/1; }
+        signature 2 { pred q/1; }
+        axiom 1: p(x^>2)
+        """
+    )
+    for bound in (B11, SearchBound(2, 1)):
+        assert logical_consequence(T, [lf(T, "1: ~p(x^>2)")], lf(T, "1: false"), bound).holds
+    v = logical_consequence(T, [], lf(T, "1: false"), B11)
+    assert not v.holds and _is_theory_model(T, v.model)
 
 
 # -- bridge-rule entailment --------------------------------------------------

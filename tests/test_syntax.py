@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dfol.calculus import _match, _match_hole, _match_renaming, _rewrite_ok
 from dfol.encodings import parse_qlc, parse_qml
+from dfol.prover import tableau_valid
 from dfol.syntax import (
     And,
     App,
@@ -292,6 +293,16 @@ def test_substitute_capture_rejected():
         substitute(f1("exists y. q(x, y)"), "x", App("f", (Var("y"),)))
 
 
+def test_substitute_without_free_occurrence_captures_nothing():
+    phi = f1("exists y. q(c, y) & (forall x. p(x))")
+    assert substitute(phi, "x", App("f", (Var("y"),))) == phi
+
+
+def test_signature_of_undeclared_index_is_a_key_error():
+    with pytest.raises(KeyError, match="undeclared index '3'"):
+        TWO_INDEX.signature("3")
+
+
 def test_substitute_arrow_term_reparses():
     got = substitute(f1("q(x, c)"), "x", ArrowVar("x", ">", "2"))
     assert parse_formula(TWO_INDEX, "1", render_formula(got)) == got
@@ -508,3 +519,34 @@ def test_long_flat_chains_still_parse():
     assert parse_qlc(
         "contexts k signature { pred p/1; } formula k: " + " & ".join(["p(x)"] * 1000)
     ).formulas
+
+
+def _chain(n: int, atom: str = "p(x)") -> str:
+    return " & ".join([atom] * n)
+
+
+def _leaves(f) -> list:
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        stack.extend(children(g))
+        if not children(g):
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("n", [600, 900])
+def test_substitute_and_hash_follow_long_chains(n):
+    # & nests one level per conjunct; substitute and hash walk without
+    # recursion, so every chain the parser accepts goes through
+    got = substitute(f1(_chain(n)), "x", Const("c"))
+    assert _leaves(got) == [Atom("p", (Const("c"),))] * n
+    assert hash(got) == hash(f1(_chain(n, "p(c)")))
+    with pytest.raises(ValueError, match="capture y"):
+        substitute(f1(f"forall y. ({_chain(n)})"), "x", Var("y"))
+
+
+def test_tableau_instantiates_a_long_universal_conjunction():
+    T = parse_theory("index 1\nsignature 1 { const c; pred p/1; }")
+    premise = parse_formula(T, "1", "forall x. " + _chain(600))
+    assert tableau_valid([premise], parse_formula(T, "1", "p(c)"))
