@@ -21,16 +21,23 @@ axioms filter each index's candidate parts up front.  logical_consequence
 adds the query as a check that must fail, stages only the indices and
 relations some check reads (the rest get a one-element domain with an
 empty local-model set), and stops at the first leaf.  enumerate_models
-stages every index and relation and keeps each leaf that is new up to
-renaming: every part is the least of its orbit, so the parts'
-automorphisms, found while canonicalizing them, break the joint symmetry.
+stages every index and relation and yields every leaf.
+
+Symmetry is broken by lex-leader pruning (Crawford, Ginsberg, Luks & Roy,
+KR 1996) rather than by comparing keys under every renaming.  Each
+index's parts are the least local-model sets of their orbits, found by
+comparing sorted ranks of the domain's local models under a rank table per
+permutation, and each part records its automorphisms.  The search
+carries the joint renamings that fix its choices so far and skips a
+relation that one of them maps to a smaller mask, so it reaches exactly
+one model of every isomorphism class, the least in search order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .semantics import (
     Assignment,
@@ -183,53 +190,90 @@ def _permuted_local(m: LocalModel, pi: dict[str, str]) -> LocalModel:
     )
 
 
-def _part_key(ms: tuple[LocalModel, ...]):
-    return tuple(sorted(m.key() for m in ms))
-
-
 def _index_parts(
     sig: Signature, bound: SearchBound, nonempty: bool = False
 ) -> list[tuple[tuple[str, ...], tuple[LocalModel, ...], tuple[dict[str, str], ...]]]:
     """Canonical (domain, model set, automorphisms) choices for one index,
     in deterministic order: domain sizes ascending, then complete-fragment
-    interpretation, then model sets by (cardinality, position).  A part is
-    kept only if no renaming of its domain elements yields a smaller
-    canonical key; the renamings that yield the same key, identity first,
-    are its automorphisms."""
+    interpretation, then model sets by (cardinality, position).
+
+    The local models of each domain are ranked by key once, and each
+    renaming of the domain becomes a table from model to the rank of its
+    image.  A model set is kept only if no renaming maps it to a set of
+    smaller sorted ranks; the renamings that map it onto itself, identity
+    first, are its automorphisms.  Ranks keep key order, so this is the
+    order of the sets' sorted keys."""
     parts = []
     for size in range(1, bound.max_domain_size + 1):
         domain = _domain(size)
         identity, *perms = [dict(zip(domain, image)) for image in permutations(domain)]
-        by_shared: dict = {}
+        models: list[LocalModel] = []
+        groups: dict = {}
         for shared, m in _local_models(sig, domain):
-            by_shared.setdefault(shared.key(), []).append(m)
+            groups.setdefault(shared.key(), []).append(len(models))
+            models.append(m)
+        rank_of = {key: r for r, key in enumerate(sorted(m.key() for m in models))}
+        rank = [rank_of[m.key()] for m in models]
+        images = [[rank_of[_permuted_local(m, pi).key()] for m in models] for pi in perms]
+        # With complete symbols every group offers the empty set.
         emitted: set = set()
-        for _, models in sorted(by_shared.items()):
-            for card in range(0 if not nonempty else 1, min(bound.max_local_models, len(models)) + 1):
-                for combo in combinations(range(len(models)), card):
-                    ms = tuple(models[k] for k in combo)
-                    key = _part_key(ms)
+        for _, members in sorted(groups.items()):
+            for card in range(0 if not nonempty else 1, min(bound.max_local_models, len(members)) + 1):
+                for combo in combinations(members, card):
+                    own = sorted(map(rank.__getitem__, combo))
+                    key = tuple(own)
                     if key in emitted:
                         continue
                     autos = [identity]
-                    for pi in perms:
-                        renamed = _part_key(tuple(_permuted_local(m, pi) for m in ms))
-                        if renamed < key:
+                    for pi, image in zip(perms, images):
+                        renamed = sorted(map(image.__getitem__, combo))
+                        if renamed < own:
                             break
-                        if renamed == key:
+                        if renamed == own:
                             autos.append(pi)
                     else:
                         emitted.add(key)
-                        parts.append((domain, ms, tuple(autos)))
+                        parts.append((domain, tuple(models[k] for k in combo), tuple(autos)))
     return parts
 
 
 def _relation_subsets(
     src: tuple[str, ...], tgt: tuple[str, ...]
 ) -> Iterator[frozenset[tuple[str, str]]]:
+    """Every relation from src to tgt, in the order of its mask: bit k
+    stands for the k-th pair in sorted order."""
     pairs = sorted(product(src, tgt))
     for mask in range(1 << len(pairs)):
         yield frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
+
+
+_Renaming = dict[str, dict[str, str]]  # index -> domain permutation; absent means identity
+
+
+def _mask_images(
+    group: Sequence[_Renaming], domains: dict[str, tuple[str, ...]], src: str, tgt: str
+) -> list[list[int] | None]:
+    """For each renaming in group, the table from the mask of a relation
+    from src to tgt (as _relation_subsets numbers them) to the mask of its
+    image, or None where the renaming fixes every pair.  Renamings that
+    agree on src and tgt share one table."""
+    pairs = sorted(product(domains[src], domains[tgt]))
+    position = {p: k for k, p in enumerate(pairs)}
+    tables: dict[tuple[int, ...], list[int] | None] = {}
+    out = []
+    for g in group:
+        ps, pt = g.get(src), g.get(tgt)
+        perm = tuple(position[(ps[d] if ps else d, pt[e] if pt else e)] for d, e in pairs)
+        if perm not in tables:
+            table = None
+            if perm != tuple(range(len(pairs))):
+                table = [0]
+                for mask in range(1, 1 << len(pairs)):
+                    low = mask & -mask
+                    table.append(table[mask ^ low] | 1 << perm[low.bit_length() - 1])
+            tables[perm] = table
+        out.append(tables[perm])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +316,12 @@ class _StagedSearch:
 
     Every check is run once its last stage is chosen, memoized on the
     choices of the stages it reads, and prunes the branch unless its
-    verdict is the required one.  `leaves()` yields the live model at
-    each surviving leaf; `results[c]` then holds check c's (verdict,
+    verdict is the required one.  Relations are tried in ascending mask
+    order, and one that is not the least of its orbit under the renamings
+    fixing the earlier choices is skipped before any check runs.  Checks
+    are invariant under renaming, so the first surviving leaf is the
+    first leaf of the unpruned search.  `leaves()` yields the live model
+    at each surviving leaf; `results[c]` then holds check c's (verdict,
     witness) for that leaf, and `choice` the option taken at each stage.
     """
 
@@ -325,26 +373,41 @@ class _StagedSearch:
                 return False
         return True
 
-    def leaves(self, t: int = 0) -> Iterator[DfolModel]:
+    def leaves(self, t: int = 0, group: Sequence[_Renaming] = ({},)) -> Iterator[DfolModel]:
+        """The leaves below stage t.  `group` holds the joint renamings that
+        fix every choice so far, identity first: the product of the chosen
+        parts' automorphisms, narrowed at each relation stage to those
+        that map the chosen relation onto itself.  A relation whose image
+        under one of them has a smaller mask is skipped, so of every orbit
+        only its least member (masks compared in stage order) is reached."""
         if t == len(self.stages):
             yield self.model
             return
         kind, name = self.stages[t]
         M = self.model
-        if kind == "idx":
-            options = self.parts[name]
-        else:
-            options = _relation_subsets(M.domains[name[0]], M.domains[name[1]])
         # A stage's old value needs no clearing on the way back: checks
         # ready at a stage read only that stage and earlier ones.
-        for choice, option in enumerate(options):
-            if kind == "idx":
-                M.domains[name], M.model_sets[name], _ = option
-            else:
-                M.relations[name] = option
-            self.choice[name] = choice
+        if kind == "idx":
+            for choice, (domain, models, autos) in enumerate(self.parts[name]):
+                M.domains[name], M.model_sets[name] = domain, models
+                self.choice[name] = choice
+                if self._passes(t):
+                    product_group = [{**g, name: a} for g in group for a in autos] if len(autos) > 1 else group
+                    yield from self.leaves(t + 1, product_group)
+            return
+        src, tgt, _ = name
+        images = _mask_images(group, M.domains, src, tgt) if len(group) > 1 else [None]
+        movers = list({id(table): table for table in images if table}.values())
+        for mask, option in enumerate(_relation_subsets(M.domains[src], M.domains[tgt])):
+            if any(table[mask] < mask for table in movers):
+                continue
+            M.relations[name] = option
+            self.choice[name] = mask
             if self._passes(t):
-                yield from self.leaves(t + 1)
+                yield from self.leaves(
+                    t + 1,
+                    [g for g, table in zip(group, images) if table is None or table[mask] == mask],
+                )
 
 
 def _is_theory_model(T: Theory, M: DfolModel) -> bool:
@@ -368,27 +431,13 @@ def enumerate_models(T: Theory, bound: SearchBound) -> Iterator[DfolModel]:
 
     Each part is the least of its orbit, so a renaming between two leaves
     maps every part onto itself: it lies in the product of the parts'
-    automorphism groups, and the least relation tuple over that product
-    tells the leaves apart."""
+    automorphism groups.  The search reaches only the leaf whose relation
+    masks are least under that product, so each model comes once."""
     indices = list(T.indices)
     rel_keys = [(i, j, label) for i in indices for j in indices if i != j for label in _labels_of(T)]
     search = _StagedSearch(T, bound, indices, rel_keys, _theory_checks(T))
-    seen: set = set()
     for M in search.leaves():
-        renamings = product(*(search.parts[i][search.choice[i]][2] for i in indices))
-        key = (
-            tuple(search.choice[i] for i in indices),
-            min(
-                tuple(
-                    tuple(sorted((pi[src][d], pi[tgt][e]) for d, e in M.relations[(src, tgt, label)]))
-                    for src, tgt, label in rel_keys
-                )
-                for pi in (dict(zip(indices, pis)) for pis in renamings)
-            ),
-        )
-        if key not in seen:
-            seen.add(key)
-            yield DfolModel(dict(M.domains), dict(M.model_sets), dict(M.relations))
+        yield DfolModel(dict(M.domains), dict(M.model_sets), dict(M.relations))
 
 
 # ---------------------------------------------------------------------------

@@ -213,8 +213,37 @@ def _formula_hash(f: Formula) -> int:
     return hash(tuple(prefix))
 
 
+def _formula_eq(f: Formula, g: object) -> bool:
+    """f == g for a compound f, walked with an explicit stack for the same
+    reason as _formula_hash; like the dataclass __eq__ it replaces, it
+    compares fields in order and only between instances of one class."""
+    if type(g) is not type(f):
+        return NotImplemented
+    stack = [(f, g)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        cls = type(a)
+        if type(b) is not cls:
+            return False
+        if cls is And or cls is Or or cls is Implies:
+            stack.append((a.rhs, b.rhs))
+            stack.append((a.lhs, b.lhs))
+        elif cls is Not:
+            stack.append((a.body, b.body))
+        elif cls is Forall or cls is Exists:
+            if a.var != b.var:
+                return False
+            stack.append((a.body, b.body))
+        elif a != b:
+            return False
+    return True
+
+
 for _cls in (Not, And, Or, Implies, Forall, Exists):
     _cls.__hash__ = _formula_hash
+    _cls.__eq__ = _formula_eq
 del _cls
 
 

@@ -4,7 +4,8 @@ over classical first-order consequence, and directionality."""
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 
 from dfol import (
     DfolModel,
+    RelationProperty,
     SearchBound,
     Verdict,
+    bridge_rules_for_property,
     enumerate_models,
     entails_bridge_rule,
     logical_consequence,
@@ -23,13 +26,16 @@ from dfol import (
     satisfies_bridge_rule,
     validate_model,
 )
+from dfol import consequence
 from dfol.consequence import (
+    _domain,
     _index_parts,
     _is_theory_model,
     _labels_of,
-    _part_key,
+    _local_models,
     _permuted_local,
     _relation_subsets,
+    _StagedSearch,
 )
 from dfol.syntax import (
     And,
@@ -140,6 +146,65 @@ def test_enumeration_is_deterministic():
     first = [M.key() for M in enumerate_models(T, B12)]
     second = [M.key() for M in enumerate_models(T, B12)]
     assert first == second
+
+
+# -- part canonicalization against a brute-force reference ----------------
+# The reference renames every local model of every candidate set under
+# every permutation of the domain and compares sorted model keys; the
+# search ranks each domain's local models once and compares sorted ranks.
+
+
+def _part_key(ms):
+    return tuple(sorted(m.key() for m in ms))
+
+
+def _reference_index_parts(sig, bound, nonempty=False):
+    parts = []
+    for size in range(1, bound.max_domain_size + 1):
+        domain = _domain(size)
+        identity, *perms = [dict(zip(domain, image)) for image in permutations(domain)]
+        by_shared: dict = {}
+        for shared, m in _local_models(sig, domain):
+            by_shared.setdefault(shared.key(), []).append(m)
+        emitted: set = set()
+        for _, models in sorted(by_shared.items()):
+            for card in range(0 if not nonempty else 1, min(bound.max_local_models, len(models)) + 1):
+                for combo in combinations(range(len(models)), card):
+                    ms = tuple(models[k] for k in combo)
+                    key = _part_key(ms)
+                    if key in emitted:
+                        continue
+                    autos = [identity]
+                    for pi in perms:
+                        renamed = _part_key(tuple(_permuted_local(m, pi) for m in ms))
+                        if renamed < key:
+                            break
+                        if renamed == key:
+                            autos.append(pi)
+                    else:
+                        emitted.add(key)
+                        parts.append((domain, ms, tuple(autos)))
+    return parts
+
+
+@pytest.mark.parametrize(
+    "decls,bound,nonempty,count",
+    [
+        ("pred p/1, q/1;", (3, 2), False, 519),
+        ("pred p/1, q/1;", (3, 3), False, 8241),
+        ("pred r/2;", (2, 3), False, 375),
+        ("const c; func f/1; pred p/1;", (2, 2), False, 277),
+        ("pred a/1, b/1; complete pred a/1;", (3, 2), False, 107),
+        ("const c; pred p/1; complete const c;", (3, 2), False, 40),
+        ("pred p/1, q/1;", (3, 2), True, 516),
+    ],
+)
+def test_index_parts_match_the_brute_force_reference(decls, bound, nonempty, count):
+    sig = parse_theory(f"index 1\nsignature 1 {{ {decls} }}").signature("1")
+    parts = _index_parts(sig, SearchBound(*bound), nonempty)
+    # same domains, model sets and automorphism tuples, in the same order
+    assert parts == _reference_index_parts(sig, SearchBound(*bound), nonempty)
+    assert len(parts) == count
 
 
 # -- the enumerator against a brute-force reference ------------------------
@@ -264,6 +329,72 @@ def test_consequence_agrees_with_a_sweep_over_enumerated_models(case, pick):
     query = BridgeRule(tuple(premises), goal)
     swept = all(satisfies_bridge_rule(M, query)[0] for M in enumerate_models(T, bound))
     assert logical_consequence(T, premises, goal, bound).holds == swept
+
+
+# -- lex-leader relation pruning against an unpruned search ----------------
+
+
+class _UnprunedSearch(_StagedSearch):
+    """The staged search with only the identity renaming at every stage, so
+    that it tries every relation subset."""
+
+    def leaves(self, t=0, group=({},)):
+        return super().leaves(t, ({},))
+
+
+def _outcome(v):
+    return v.holds, v.model and v.model.key(), v.assignment and v.assignment.key()
+
+
+def _property_queries(tag, i, j):
+    return [(r.premises, r.conclusion) for r in bridge_rules_for_property(RelationProperty(tag, (i, j)))]
+
+
+# Queries reading r_12 alone, the relation the theories' own rules read,
+# and queries that also read r_21; the latter are kept to domain size 2,
+# where the unpruned product of two relations stays small.
+ONE_RELATION = [q for tag in ("fun", "tot", "inj", "sur") for q in _property_queries(tag, "1", "2")]
+TWO_RELATIONS = [q for tag in ("fun", "tot", "inj", "sur") for q in _property_queries(tag, "2", "1")]
+TWO_RELATIONS += _property_queries("inv", "1", "2")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    two_index_theories(),
+    st.one_of(
+        st.tuples(st.sampled_from(ONE_RELATION + ["atoms"]), st.sampled_from([(2, 1), (2, 2), (3, 1)])),
+        st.tuples(st.sampled_from(TWO_RELATIONS), st.sampled_from([(2, 1), (2, 2)])),
+    ),
+)
+def test_relation_pruning_matches_an_unpruned_search(case, query):
+    # empty local-model sets, and sets over 0-ary predicates only, have
+    # every renaming of their domain as an automorphism, so at domain sizes
+    # 2 and 3 the pruning skips most relation subsets
+    T, _ = case
+    pick, bound = query[0], SearchBound(*query[1])
+    if pick == "atoms":
+        p, s = _atoms(("p", 1) in T.signature("1").preds, ("s", 1) in T.signature("2").preds)
+        premises, goal = [lf(T, f"1: {p[0]}")], lf(T, f"2: {s[1]}")
+    else:
+        premises, goal = pick
+    pruned = logical_consequence(T, premises, goal, bound)
+    with patch.object(consequence, "_StagedSearch", _UnprunedSearch):
+        unpruned = logical_consequence(T, premises, goal, bound)
+    assert _outcome(pruned) == _outcome(unpruned)
+
+
+def test_pruning_keeps_counterexamples_that_need_two_relations():
+    # the converse of r_12 need not be r_21; with r_12 surjective, the
+    # least counterexample to the second inverse rule has a two-element
+    # domain at index 2, where r_21 is pruned only by renamings that fix
+    # the r_12 chosen before it
+    T = parse_theory("index 1, 2\nproperty sur 1 2")
+    for premises, goal in _property_queries("inv", "1", "2"):
+        for bound in (SearchBound(2, 1), SearchBound(2, 2)):
+            pruned = logical_consequence(T, premises, goal, bound)
+            with patch.object(consequence, "_StagedSearch", _UnprunedSearch):
+                unpruned = logical_consequence(T, premises, goal, bound)
+            assert _outcome(pruned) == _outcome(unpruned)
 
 
 def test_complete_symbols_agree_across_enumerated_sets():

@@ -546,6 +546,18 @@ def test_substitute_and_hash_follow_long_chains(n):
         substitute(f1(f"forall y. ({_chain(n)})"), "x", Var("y"))
 
 
+@pytest.mark.parametrize("n", [600, 900])
+def test_equality_follows_long_chains(n):
+    # two parses give equal but distinct objects, so == walks every level
+    first, second = f1(_chain(n)), f1(_chain(n))
+    assert first is not second
+    assert first == second and not first != second
+    assert f1(_chain(n - 1) + " & p(c)") != first
+    assert first in {second} and f1(_chain(n - 1) + " & p(c)") not in {first}
+    assert {second: n}[first] == n
+    assert Not(first) == Not(second) and Not(first) != first
+
+
 def test_tableau_instantiates_a_long_universal_conjunction():
     T = parse_theory("index 1\nsignature 1 { const c; pred p/1; }")
     premise = parse_formula(T, "1", "forall x. " + _chain(600))
