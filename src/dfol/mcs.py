@@ -18,6 +18,20 @@ context has been emptied; no rule in the bundled examples exercises
 that corner, but the reading keeps the meta context an ordinary
 context.
 
+Internally an assignment is an int mask over its context's declared
+letters (bit k for the k-th letter), and the fixpoint keeps, per
+context, `common`: the AND of its masks, or every letter once the
+context is empty.  A positive premise `j:p` holds iff bit p is set in
+`common[j]`, and `not(j:q)` is in the meta context iff bit q is clear
+in it, so a body is decided without building the meta context.  Each
+step applies every rule that fires against the same snapshot, so the
+candidates are those of the plain operator.  Because deletions only
+accumulate, a step re-checks just the rules that read a context the
+previous step changed, plus every rule with a negative premise on the
+step after the first context empties; a rule whose head letter is
+already common to its context is skipped.  Candidates are turned back
+into sets of letters only when they are returned.
+
 System files look like::
 
     # two contexts feeding each other, one nonmonotonic rule
@@ -37,7 +51,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .syntax import (
     And,
@@ -311,92 +325,188 @@ def load_prop_system(path) -> PropSystem:
 # ---------------------------------------------------------------------------
 
 
-def _holds(f: Formula, true_letters: Assignment) -> bool:
+def _letter_bits(system: PropSystem) -> dict[str, dict[str, int]]:
+    """Bit k of a context's masks stands for its k-th declared letter."""
+    return {
+        ctx: {p: 1 << k for k, p in enumerate(system.letters[ctx])}
+        for ctx in system.contexts
+    }
+
+
+def _encode(m: Assignment, bits: Mapping[str, int]) -> int:
+    return sum(bits[p] for p in m)
+
+
+def _decode(letters: tuple[str, ...], masks) -> frozenset[Assignment]:
+    return frozenset(
+        frozenset(p for k, p in enumerate(letters) if m >> k & 1) for m in masks
+    )
+
+
+def _common(masks, full: int) -> int:
+    """The letters every mask makes true; all letters when there is none."""
+    for m in masks:
+        full &= m
+    return full
+
+
+def _minimal(masks) -> tuple[int, ...]:
+    return tuple(m for m in masks if not any(o != m and o & m == o for o in masks))
+
+
+def _holds(f: Formula, m: int, bits: Mapping[str, int]) -> bool:
     if isinstance(f, Atom):
-        return f.pred in true_letters
+        return bool(m & bits[f.pred])
     if isinstance(f, Falsum):
         return False
     if isinstance(f, Not):
-        return not _holds(f.body, true_letters)
+        return not _holds(f.body, m, bits)
     if isinstance(f, And):
-        return _holds(f.lhs, true_letters) and _holds(f.rhs, true_letters)
+        return _holds(f.lhs, m, bits) and _holds(f.rhs, m, bits)
     if isinstance(f, Or):
-        return _holds(f.lhs, true_letters) or _holds(f.rhs, true_letters)
+        return _holds(f.lhs, m, bits) or _holds(f.rhs, m, bits)
     if isinstance(f, Implies):
-        return not _holds(f.lhs, true_letters) or _holds(f.rhs, true_letters)
+        return not _holds(f.lhs, m, bits) or _holds(f.rhs, m, bits)
     raise AssertionError(f"non-propositional formula {f!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class _RulePlan:
+    """A rule over letter bits: the head's context and bit, and the
+    (context, bit) pairs its positive and negative premises read."""
+
+    head: str
+    bit: int
+    positive: tuple[tuple[str, int], ...]
+    negative: tuple[tuple[str, int], ...]
+
+    @classmethod
+    def of(cls, rule: McsRule, bits: Mapping[str, Mapping[str, int]]) -> _RulePlan:
+        ctx, p = rule.head
+        return cls(
+            head=ctx,
+            bit=bits[ctx][p],
+            positive=tuple((c, bits[c][q]) for c, q in rule.positive),
+            negative=tuple((c, bits[c][q]) for c, q in rule.negative),
+        )
+
+    def body_holds(self, common: Mapping[str, int], consistent: bool) -> bool:
+        # j:p holds when every assignment of j makes p true (vacuously
+        # when j is empty); not(j:q) is in the meta context when some
+        # assignment of j makes q false, and every negative premise holds
+        # once the meta context is empty
+        return all(common[c] & b for c, b in self.positive) and (
+            not consistent or not any(common[c] & b for c, b in self.negative)
+        )
+
+
 def _body_holds(S: PropModelSet, rule: McsRule) -> bool:
-    # positive premises hold when every surviving assignment satisfies
-    # them (vacuously in an emptied context); negative premises are read
-    # off the derived meta context, which satisfies everything once some
-    # context exports an inconsistency
-    for ctx, p in rule.positive:
-        if any(p not in m for m in S.models[ctx]):
-            return False
-    mc = S.mc_models()
-    for ctx, p in rule.negative:
-        if any(f"not({ctx}:{p})" not in m for m in mc):
-            return False
-    return True
+    system = S.system
+    bits = _letter_bits(system)
+    common = {
+        ctx: _common(
+            (_encode(m, bits[ctx]) for m in S.models[ctx]),
+            (1 << len(system.letters[ctx])) - 1,
+        )
+        for ctx in system.contexts
+    }
+    consistent = all(S.models[ctx] for ctx in system.contexts)
+    return _RulePlan.of(rule, bits).body_holds(common, consistent)
 
 
 def local_reduction(S: PropModelSet) -> PropModelSet:
     """Keep only the inclusion-minimal assignments of each context."""
+    bits = _letter_bits(S.system)
     reduced = {
-        ctx: frozenset(
-            m for m in ms if not any(other != m and other <= m for other in ms)
+        ctx: _decode(
+            S.system.letters[ctx], _minimal([_encode(m, bits[ctx]) for m in ms])
         )
         for ctx, ms in S.models.items()
     }
     return PropModelSet(system=S.system, models=reduced)
 
 
-def _all_assignments(letters: tuple[str, ...]) -> Iterator[Assignment]:
-    n = len(letters)
-    for mask in range(1 << n):
-        yield frozenset(letters[k] for k in range(n) if mask >> k & 1)
+def _axiom_masks(system: PropSystem, ctx: str, bits: Mapping[str, int]) -> tuple[int, ...]:
+    """Every assignment of ctx that satisfies its axioms.  There is no
+    shortcut: all 2^|letters| masks are tried, so a context with n letters
+    costs 2^n axiom checks and up to 2^n ints before the first step."""
+    axioms = system.axioms[ctx]
+    return tuple(
+        m
+        for m in range(1 << len(system.letters[ctx]))
+        if all(_holds(ax, m, bits) for ax in axioms)
+    )
+
+
+def _mask_steps(system: PropSystem) -> Iterator[dict[str, tuple[int, ...]]]:
+    """The candidates of the fixpoint as int masks per context, the first
+    one included.  A yielded dict is never changed afterwards, and a
+    context the step left alone keeps the same tuple object."""
+    bits = _letter_bits(system)
+    full = {ctx: (1 << len(system.letters[ctx])) - 1 for ctx in system.contexts}
+    masks = {ctx: _axiom_masks(system, ctx, bits[ctx]) for ctx in system.contexts}
+    common = {ctx: _common(masks[ctx], full[ctx]) for ctx in system.contexts}
+    consistent = all(masks.values())
+    plans = [_RulePlan.of(rule, bits) for rule in system.rules]
+    readers: dict[str, list[_RulePlan]] = {ctx: [] for ctx in system.contexts}
+    for plan in plans:
+        for ctx in {c for c, _ in plan.positive + plan.negative}:
+            readers[ctx].append(plan)
+    nonmonotonic = [plan for plan in plans if plan.negative]
+    recheck: Iterable[_RulePlan] = plans
+    while True:
+        yield masks
+        # every rule that fires is applied against this one snapshot of
+        # `common`; a rule whose head letter is already common to its
+        # context cannot delete anything
+        forced: dict[str, int] = {}
+        for plan in recheck:
+            if not common[plan.head] & plan.bit and plan.body_holds(common, consistent):
+                forced[plan.head] = forced.get(plan.head, 0) | plan.bit
+        if not forced:
+            return
+        masks = dict(masks)
+        for ctx, f in forced.items():
+            masks[ctx] = tuple(m for m in masks[ctx] if m & f == f)
+            common[ctx] = _common(masks[ctx], full[ctx])
+        # a body can change only through a context it reads, or, for a
+        # negative premise, when the meta context becomes empty
+        recheck = {plan for ctx in forced for plan in readers[ctx]}
+        if consistent and not all(masks[ctx] for ctx in forced):
+            consistent = False
+            recheck.update(nonmonotonic)
 
 
 def fixpoint_steps(system: PropSystem) -> Iterator[PropModelSet]:
     """Yield the shrinking candidates, from all axiom models to the
-    fixpoint (inclusive)."""
-    current = PropModelSet(
-        system=system,
-        models={
-            ctx: frozenset(
-                m
-                for m in _all_assignments(system.letters[ctx])
-                if all(_holds(ax, m) for ax in system.axioms[ctx])
-            )
-            for ctx in system.contexts
-        },
-    )
-    yield current
-    while True:
-        forced: dict[str, set[str]] = {ctx: set() for ctx in system.contexts}
-        for rule in system.rules:
-            if _body_holds(current, rule):
-                forced[rule.head[0]].add(rule.head[1])
-        nxt = PropModelSet(
-            system=system,
-            models={
-                ctx: frozenset(m for m in ms if forced[ctx] <= m)
-                for ctx, ms in current.models.items()
-            },
-        )
-        if nxt.models == current.models:
-            return
-        yield nxt
-        current = nxt
+    fixpoint (inclusive).
+
+    The first candidate lists every assignment of every context that
+    satisfies its axioms: 2^|letters| masks per context are checked up
+    front, so a context with many letters is expensive however few rules
+    it has.  A candidate shares the frozensets of the contexts that its
+    step left unchanged with the one before it."""
+    models: dict[str, frozenset[Assignment]] = {}
+    previous: dict[str, tuple[int, ...]] = {}
+    for masks in _mask_steps(system):
+        models = {
+            ctx: models[ctx] if previous.get(ctx) is ms else _decode(system.letters[ctx], ms)
+            for ctx, ms in masks.items()
+        }
+        previous = masks
+        yield PropModelSet(system=system, models=models)
 
 
 def minimal_model(system: PropSystem) -> PropModelSet:
     """The locally reduced fixpoint of the rule-filtering operator."""
-    for candidate in fixpoint_steps(system):
+    for masks in _mask_steps(system):
         pass
-    return local_reduction(candidate)
+    return PropModelSet(
+        system=system,
+        models={
+            ctx: _decode(system.letters[ctx], _minimal(ms)) for ctx, ms in masks.items()
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

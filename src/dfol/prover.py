@@ -63,6 +63,20 @@ def _ground_terms(f: Formula) -> set[Term]:
     return out
 
 
+def _instance(br: _Branch, sign: bool, q: Forall | Exists, t: Term) -> tuple[bool, Formula]:
+    """The instance of q's body at t, its ground terms added to the branch.
+
+    Every formula the tableau pops is a subformula of an input formula or
+    of such an instance, so collecting ground terms here and for the
+    inputs gives the branch the same terms as collecting them at each pop,
+    with one walk per instance instead of one per popped subformula.  The
+    terms are read only when a gamma round starts, which is after every
+    pushed formula has been popped."""
+    g = substitute(q.body, q.var, t)
+    br.terms |= _ground_terms(g)
+    return sign, g
+
+
 class _UnionFind:
     def __init__(self) -> None:
         self.parent: dict[Term, Term] = {}
@@ -170,7 +184,6 @@ class _Prover:
                 br.seen.add((sign, f))
                 if len(br.seen) == seen:
                     continue  # one hash per formula: hashing walks the whole formula
-                br.terms |= _ground_terms(f)
                 if isinstance(f, Falsum):
                     if sign:
                         return True
@@ -200,12 +213,12 @@ class _Prover:
                     else:
                         c = self.fresh()
                         br.terms.add(c)
-                        pending.append((False, substitute(f.body, f.var, c)))
+                        pending.append(_instance(br, False, f, c))
                 elif isinstance(f, Exists):
                     if sign:
                         c = self.fresh()
                         br.terms.add(c)
-                        pending.append((True, substitute(f.body, f.var, c)))
+                        pending.append(_instance(br, True, f, c))
                     else:
                         br.gammas.append((False, f))
                 elif isinstance(f, Atom):
@@ -273,13 +286,14 @@ class _Prover:
         if not br.terms:
             br.terms.add(self.fresh())
         fresh_pending: list[tuple[bool, Formula]] = []
+        terms = sorted(br.terms, key=repr)  # before the instances add theirs
         for sign, g in br.gammas:
-            for t in sorted(br.terms, key=repr):
+            for t in terms:
                 key = (sign, g, t)
                 if key in br.used:
                     continue
                 br.used.add(key)
-                fresh_pending.append((sign, substitute(g.body, g.var, t)))
+                fresh_pending.append(_instance(br, sign, g, t))
         if not fresh_pending:
             return False
         return self.expand(br, fresh_pending, rounds - 1)
@@ -304,10 +318,11 @@ def tableau_valid(
             raise TypeError("premises must be formulas")
     if gamma_rounds < 0:
         raise ValueError("gamma_rounds must be nonnegative")
+    pending = [(True, p) for p in premises] + [(False, conclusion)]
+    terms = set().union(*(_ground_terms(f) for _, f in pending))
     for budget in range(1, gamma_rounds + 1):
         prover = _Prover(max_steps)
-        branch = _Branch()
-        pending = [(True, p) for p in premises] + [(False, conclusion)]
+        branch = _Branch(terms=set(terms))
         try:
             if prover.expand(branch, list(pending), budget):
                 return True

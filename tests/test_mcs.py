@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from dfol.mcs import (
     parse_prop_system,
     render_equilibrium,
 )
+from dfol.syntax import And, Atom, Falsum, Implies, Not, Or
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -295,3 +297,217 @@ def test_fixpoint_shrinks_and_closes(system):
             if _body_holds(candidate, rule):
                 ctx, letter = rule.head
                 assert all(letter in m for m in candidate.models[ctx])
+
+
+# ---------------------------------------------------------------------------
+# The fixpoint over frozensets, kept as the reference for the mask loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_holds(f, true_letters):
+    if isinstance(f, Atom):
+        return f.pred in true_letters
+    if isinstance(f, Falsum):
+        return False
+    if isinstance(f, Not):
+        return not _reference_holds(f.body, true_letters)
+    if isinstance(f, And):
+        return _reference_holds(f.lhs, true_letters) and _reference_holds(f.rhs, true_letters)
+    if isinstance(f, Or):
+        return _reference_holds(f.lhs, true_letters) or _reference_holds(f.rhs, true_letters)
+    if isinstance(f, Implies):
+        return not _reference_holds(f.lhs, true_letters) or _reference_holds(f.rhs, true_letters)
+    raise AssertionError(f"non-propositional formula {f!r}")
+
+
+def _reference_body_holds(S, rule):
+    for ctx, p in rule.positive:
+        if any(p not in m for m in S.models[ctx]):
+            return False
+    mc = S.mc_models()
+    for ctx, p in rule.negative:
+        if any(f"not({ctx}:{p})" not in m for m in mc):
+            return False
+    return True
+
+
+def _reference_local_reduction(S):
+    reduced = {
+        ctx: frozenset(
+            m for m in ms if not any(other != m and other <= m for other in ms)
+        )
+        for ctx, ms in S.models.items()
+    }
+    return PropModelSet(system=S.system, models=reduced)
+
+
+def _reference_all_assignments(letters):
+    n = len(letters)
+    for mask in range(1 << n):
+        yield frozenset(letters[k] for k in range(n) if mask >> k & 1)
+
+
+def _reference_fixpoint_steps(system):
+    current = PropModelSet(
+        system=system,
+        models={
+            ctx: frozenset(
+                m
+                for m in _reference_all_assignments(system.letters[ctx])
+                if all(_reference_holds(ax, m) for ax in system.axioms[ctx])
+            )
+            for ctx in system.contexts
+        },
+    )
+    yield current
+    while True:
+        forced = {ctx: set() for ctx in system.contexts}
+        for rule in system.rules:
+            if _reference_body_holds(current, rule):
+                forced[rule.head[0]].add(rule.head[1])
+        nxt = PropModelSet(
+            system=system,
+            models={
+                ctx: frozenset(m for m in ms if forced[ctx] <= m)
+                for ctx, ms in current.models.items()
+            },
+        )
+        if nxt.models == current.models:
+            return
+        yield nxt
+        current = nxt
+
+
+def _reference_minimal_model(system):
+    for candidate in _reference_fixpoint_steps(system):
+        pass
+    return _reference_local_reduction(candidate)
+
+
+def prop_formulas(letters):
+    atoms = [Atom(p) for p in letters]
+    return st.recursive(
+        st.sampled_from(atoms + [Falsum()]),
+        lambda inner: st.one_of(
+            inner.map(Not),
+            st.builds(And, inner, inner),
+            st.builds(Or, inner, inner),
+            st.builds(Implies, inner, inner),
+        ),
+        max_leaves=5,
+    )
+
+
+@st.composite
+def systems_with_axioms(draw):
+    """small_systems() with zero to two axioms per context, among them
+    unsatisfiable ones, so that contexts start or end up empty."""
+    system = draw(small_systems())
+    axioms = {}
+    for ctx in system.contexts:
+        letters = system.letters[ctx]
+        contradiction = st.sampled_from([And(Atom(p), Not(Atom(p))) for p in letters])
+        axioms[ctx] = tuple(
+            draw(st.lists(st.one_of(prop_formulas(letters), contradiction), max_size=2))
+        )
+    return replace(system, axioms=axioms)
+
+
+def assert_same_as_reference(system):
+    steps = list(fixpoint_steps(system))
+    expected = list(_reference_fixpoint_steps(system))
+    assert len(steps) == len(expected)
+    for got, want in zip(steps, expected):
+        assert got.models == want.models
+        assert list(got.models) == list(want.models)
+        assert got.mc_models() == want.mc_models()
+        assert equilibrium_json_text(got) == equilibrium_json_text(want)
+    got, want = minimal_model(system), _reference_minimal_model(system)
+    assert got.models == want.models
+    assert got.mc_models() == want.mc_models()
+    assert equilibrium_json_text(got) == equilibrium_json_text(want)
+    assert render_equilibrium(got) == render_equilibrium(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_systems())
+def test_fixpoint_matches_reference(system):
+    assert_same_as_reference(system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems_with_axioms())
+def test_fixpoint_with_axioms_matches_reference(system):
+    assert_same_as_reference(system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_body_and_reduction_match_reference(data):
+    system = data.draw(systems_with_axioms())
+    S = data.draw(model_sets(system))
+    for rule in system.rules:
+        assert _body_holds(S, rule) == _reference_body_holds(S, rule)
+    assert local_reduction(S).models == _reference_local_reduction(S).models
+
+
+def test_fixture_matches_reference():
+    assert_same_as_reference(load_prop_system(FIXTURES / "twocontexts.mcs"))
+
+
+def test_negative_rule_fires_once_another_context_empties():
+    # 2:q <- not(1:p) is blocked while 1:p holds everywhere; the fact 3:r
+    # then empties context 3 against its axiom, the meta context becomes
+    # empty, and the negative premise holds vacuously one step later
+    S = parse_prop_system(
+        """
+        context 1 { letters p; axiom p; }
+        context 2 { letters q; }
+        context 3 { letters r; axiom ~r; }
+        rule 3:r.
+        rule 2:q <- not(1:p).
+        """
+    )
+    steps = list(fixpoint_steps(S))
+    assert [sets(s.models["2"]) for s in steps] == [[[], ["q"]], [[], ["q"]], [["q"]]]
+    assert sets(steps[1].models["3"]) == [] and steps[1].mc_models() == frozenset()
+    assert_same_as_reference(S)
+
+
+def _chain(k):
+    cs = [f"c{i}" for i in range(1, k + 1)]
+    lines = [f"context {c} {{ letters p, q; }}" for c in cs]
+    lines.append(f"rule {cs[0]}:p.")
+    lines += [f"rule {cs[i + 1]}:p <- {cs[i]}:p." for i in range(k - 1)]
+    lines += [f"rule {cs[i + 1]}:q <- not({cs[i]}:p)." for i in range(k - 1)]
+    return parse_prop_system("\n".join(lines))
+
+
+def test_chain_forces_one_context_per_step():
+    # every q is forced in the first step, then p moves one context per
+    # step: 201 candidates for 200 contexts, each step re-checking only
+    # the rules that read the context it changed
+    S = _chain(200)
+    steps = list(fixpoint_steps(S))
+    assert len(steps) == 201
+    for k, step in enumerate(steps[1:], start=1):
+        assert all("p" in m for m in step.models[f"c{k}"])
+        assert k == 200 or any("p" not in m for m in step.models[f"c{k + 1}"])
+    data = equilibrium_to_json(minimal_model(S))
+    assert data["contexts"]["c1"] == [["p"]]
+    assert all(data["contexts"][f"c{i}"] == [["p", "q"]] for i in range(2, 201))
+    assert data["mc"] == [["not(c1:q)"]]
+
+
+def test_chain_matches_reference():
+    assert_same_as_reference(_chain(12))
+
+
+def test_unchanged_contexts_share_their_frozensets():
+    # after the first step only the context that p reaches changes; every
+    # other context keeps the frozenset of the candidate before
+    steps = list(fixpoint_steps(_chain(6)))
+    for k in range(2, len(steps)):
+        earlier, later = steps[k - 1].models, steps[k].models
+        assert [c for c in later if later[c] is not earlier[c]] == [f"c{k}"]
+

@@ -562,3 +562,32 @@ def test_tableau_instantiates_a_long_universal_conjunction():
     T = parse_theory("index 1\nsignature 1 { const c; pred p/1; }")
     premise = parse_formula(T, "1", "forall x. " + _chain(600))
     assert tableau_valid([premise], parse_formula(T, "1", "p(c)"))
+
+
+def test_tableau_collects_ground_terms_once_per_formula(monkeypatch):
+    # ground terms are collected from each input formula and each
+    # quantifier instance, not again from every subformula the tableau
+    # pops: node visits grow linearly with the length of the conjunction
+    import dfol.prover as prover
+
+    T = parse_theory("index 1\nsignature 1 { const c; pred p/1, q/1; }")
+    visits = {}
+    for n in (100, 200, 400):
+        count = [0]
+
+        def counting_children(f, count=count):
+            count[0] += 1
+            return children(f)
+
+        monkeypatch.setattr(prover, "children", counting_children)
+        premise = parse_formula(T, "1", "forall x. " + _chain(n))
+        assert tableau_valid([premise], parse_formula(T, "1", "p(c)"))
+        assert not tableau_valid([premise], parse_formula(T, "1", "q(c)"))
+        visits[n] = count[0]
+    # an affine count: doubling the chain adds twice as many visits
+    assert visits[400] - visits[200] == 2 * (visits[200] - visits[100])
+    assert visits[400] <= 25 * 400
+    monkeypatch.undo()
+    premise = parse_formula(T, "1", "forall x. " + _chain(600))
+    assert tableau_valid([premise], parse_formula(T, "1", "p(c)"))
+    assert not tableau_valid([premise], parse_formula(T, "1", "q(c)"))
