@@ -82,11 +82,16 @@ class _UnionFind:
         self.parent: dict[Term, Term] = {}
 
     def find(self, t: Term) -> Term:
-        p = self.parent.setdefault(t, t)
-        if p != t:
-            p = self.find(p)
-            self.parent[t] = p
-        return p
+        """The root of t's class; every term on the way now points at it."""
+        parent = self.parent
+        path = []
+        p = parent.setdefault(t, t)
+        while p != t:
+            path.append(t)
+            t, p = p, parent.setdefault(p, p)
+        for s in path:
+            parent[s] = t
+        return t
 
     def union(self, a: Term, b: Term) -> None:
         ra, rb = self.find(a), self.find(b)
@@ -180,10 +185,9 @@ class _Prover:
             while pending:
                 self.tick()
                 sign, f = pending.pop()
-                seen = len(br.seen)
+                if (sign, f) in br.seen:
+                    continue
                 br.seen.add((sign, f))
-                if len(br.seen) == seen:
-                    continue  # one hash per formula: hashing walks the whole formula
                 if isinstance(f, Falsum):
                     if sign:
                         return True

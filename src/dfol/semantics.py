@@ -8,6 +8,22 @@ assignment `a` requires (i) `a` to be admissible for the formula (every
 arrow variable assigned, with its relation condition met) and (ii) every
 local model at `i` to satisfy φ; an empty model set therefore satisfies
 everything admissible, including `i: false`.
+
+Local satisfaction is compiled, not interpreted.  `_compile` turns a
+formula, once, into nested closures `f(m, values)` against a slot layout:
+each plain or arrow variable in scope reads a fixed position of the flat
+list `values`, and each quantifier writes its element into one reserved
+slot after the slots of the variables in scope, so evaluation builds and
+copies no dict.  A quantifier that shadows a variable gets a fresh slot.
+Constants, functions and predicates are looked up in the local model when
+the closure runs, and a variable missing from the layout compiles to a
+closure that raises `UndefinedVariableError` when reached, so errors
+surface exactly where a tree walk would meet them; a node that is not a
+formula or term is a `TypeError` at compile time.  `satisfies_local`,
+`eval_term` and `satisfies_labeled` compile against their env's variables
+per call; a bridge-rule or axiom plan (`_RulePlan`) compiles its premises
+and conclusion once against the rule's own slots, with the conclusion's
+extension-searched arrow variables in the slots right after them.
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .syntax import (
     App,
@@ -286,42 +302,112 @@ def validate_assignment(M: DfolModel, a: Assignment) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def eval_term(m: LocalModel, env: Mapping[Term, str], t: Term) -> str:
+_Eval = Callable[[LocalModel, list], object]
+
+
+def _compile_term(t: Term, layout: Mapping[Term, int]) -> _Eval:
+    """A closure f(m, values) that evaluates t in m, reading each variable
+    v from values[layout[v]].  Constants and functions are looked up in m
+    when f runs; a variable missing from the layout raises when reached."""
     if isinstance(t, (Var, ArrowVar)):
-        try:
-            return env[t]
-        except KeyError:
-            raise UndefinedVariableError(f"unassigned variable {render_term(t)}") from None
+        k = layout.get(t)
+        if k is None:
+            message = f"unassigned variable {render_term(t)}"
+
+            def unassigned(m, values):
+                raise UndefinedVariableError(message)
+
+            return unassigned
+        return lambda m, values: values[k]
     if isinstance(t, Const):
-        return m.const(t.name)
+        name = t.name
+        return lambda m, values: m.const(name)
     if isinstance(t, App):
-        return m.func(t.func, tuple(eval_term(m, env, a) for a in t.args))
+        name = t.func
+        args = [_compile_term(a, layout) for a in t.args]
+        return lambda m, values: m.func(name, tuple([a(m, values) for a in args]))
     raise TypeError(f"not a term: {t!r}")
+
+
+def _compile(phi: Formula, layout: Mapping[Term, int], free: int) -> tuple[_Eval, int]:
+    """(f, width): f(m, values) is classical satisfaction of phi in m, with
+    each variable v in the layout read from values[layout[v]].  A quantifier
+    writes its element into slot `free`, the first slot after those of the
+    variables in scope, and its body is compiled with `free + 1`, so
+    shadowing gets a fresh slot; f needs a values list of `width` entries.
+    Closures nest as phi does and recurse once per level when run."""
+    if isinstance(phi, Atom):
+        name = phi.pred
+        ks = [layout.get(a) if isinstance(a, (Var, ArrowVar)) else None for a in phi.args]
+        if len(ks) == 1 and ks[0] is not None:
+            a = ks[0]
+            return (lambda m, values: (values[a],) in m.pred(name)), free
+        if len(ks) == 2 and None not in ks:
+            a, b = ks
+            return (lambda m, values: (values[a], values[b]) in m.pred(name)), free
+        args = [_compile_term(a, layout) for a in phi.args]
+        return (lambda m, values: tuple([a(m, values) for a in args]) in m.pred(name)), free
+    if isinstance(phi, Eq):
+        a, b = (layout.get(t) if isinstance(t, (Var, ArrowVar)) else None for t in (phi.lhs, phi.rhs))
+        if a is not None and b is not None:
+            return (lambda m, values: values[a] == values[b]), free
+        lhs, rhs = _compile_term(phi.lhs, layout), _compile_term(phi.rhs, layout)
+        return (lambda m, values: lhs(m, values) == rhs(m, values)), free
+    if isinstance(phi, Falsum):
+        return (lambda m, values: False), free
+    if isinstance(phi, Not):
+        body, width = _compile(phi.body, layout, free)
+        return (lambda m, values: not body(m, values)), width
+    if isinstance(phi, (And, Or, Implies)):
+        lhs, lw = _compile(phi.lhs, layout, free)
+        rhs, rw = _compile(phi.rhs, layout, free)
+        if isinstance(phi, And):
+            f = lambda m, values: lhs(m, values) and rhs(m, values)
+        elif isinstance(phi, Or):
+            f = lambda m, values: lhs(m, values) or rhs(m, values)
+        else:
+            f = lambda m, values: not lhs(m, values) or rhs(m, values)
+        return f, max(lw, rw)
+    if isinstance(phi, (Forall, Exists)):
+        k = free
+        body, width = _compile(phi.body, {**layout, Var(phi.var): k}, k + 1)
+        if isinstance(phi, Forall):
+
+            def forall(m, values):
+                for d in m.domain:
+                    values[k] = d
+                    if not body(m, values):
+                        return False
+                return True
+
+            return forall, width
+
+        def exists(m, values):
+            for d in m.domain:
+                values[k] = d
+                if body(m, values):
+                    return True
+            return False
+
+        return exists, width
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def _compile_env(phi: Formula, env: Mapping[Term, str]) -> tuple[_Eval, list]:
+    """phi compiled against the variables of env, in env's order, and the
+    values list it runs on: env's values, then room for the quantifiers."""
+    f, width = _compile(phi, {v: k for k, v in enumerate(env)}, len(env))
+    return f, [*env.values()] + [None] * (width - len(env))
+
+
+def eval_term(m: LocalModel, env: Mapping[Term, str], t: Term) -> str:
+    return _compile_term(t, {v: k for k, v in enumerate(env)})(m, [*env.values()])
 
 
 def satisfies_local(m: LocalModel, phi: Formula, env: Mapping[Term, str]) -> bool:
     """Classical Tarskian satisfaction; arrow variables act as assigned names."""
-    if isinstance(phi, Atom):
-        return tuple(eval_term(m, env, a) for a in phi.args) in m.pred(phi.pred)
-    if isinstance(phi, Eq):
-        return eval_term(m, env, phi.lhs) == eval_term(m, env, phi.rhs)
-    if isinstance(phi, Falsum):
-        return False
-    if isinstance(phi, Not):
-        return not satisfies_local(m, phi.body, env)
-    if isinstance(phi, And):
-        return satisfies_local(m, phi.lhs, env) and satisfies_local(m, phi.rhs, env)
-    if isinstance(phi, Or):
-        return satisfies_local(m, phi.lhs, env) or satisfies_local(m, phi.rhs, env)
-    if isinstance(phi, Implies):
-        return (not satisfies_local(m, phi.lhs, env)) or satisfies_local(m, phi.rhs, env)
-    if isinstance(phi, Forall):
-        v = Var(phi.var)
-        return all(satisfies_local(m, phi.body, {**env, v: d}) for d in m.domain)
-    if isinstance(phi, Exists):
-        v = Var(phi.var)
-        return any(satisfies_local(m, phi.body, {**env, v: d}) for d in m.domain)
-    raise TypeError(f"not a formula: {phi!r}")
+    f, values = _compile_env(phi, env)
+    return f(m, values)
 
 
 def is_admissible(M: DfolModel, a: Assignment, lf: LabeledFormula) -> bool:
@@ -337,8 +423,8 @@ def satisfies_labeled(M: DfolModel, lf: LabeledFormula, a: Assignment) -> bool:
     satisfies the body; an empty model set satisfies vacuously."""
     if not is_admissible(M, a, lf):
         return False
-    env = a.env(lf.index)
-    return all(satisfies_local(m, lf.formula, env) for m in M.models(lf.index))
+    f, values = _compile_env(lf.formula, a.env(lf.index))
+    return all(f(m, values) for m in M.models(lf.index))
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +532,19 @@ def _formula_vars(f: Formula) -> list[Term]:
 
 class _RulePlan:
     """A bridge rule compiled once against its outer slots, so that
-    checking it on a model is a walk over a flat list of slot values.
+    checking it on a model is a walk over one flat list of slot values.
 
     Everything that depends on the rule alone is resolved here:
     - `conditions[k]`: the arrow conditions decidable once slot k is bound,
       as (first, second, relation key): the pair of those slots' values
       must lie in the relation;
     - `premises[k]`: the premises whose last variable is slot k, as (index,
-      formula, env spec), an env spec being (variable, slot position)
-      pairs; `closed` holds the premises with no variable at all;
-    - the conclusion's (index, formula, env spec), and its `missing` arrow
-      variables (variable, anchor position, relation key, whether the
-      variable's value comes first in a pair), in extension-search order.
+      compiled formula); `closed` holds the premises with no variable;
+    - the conclusion's (index, compiled formula), and its `missing` arrow
+      variables (anchor position, relation key, whether the variable's
+      value comes first in a pair), in extension-search order.  They take
+      the slots right after the rule's own, and every quantifier slot
+      comes after those; `width` is the length of the values list.
 
     An axiom is a premise-free plan whose arrow variables are all slots.
     """
@@ -478,29 +565,33 @@ class _RulePlan:
                 self.conditions[max(k, anchor)].append(
                     (first, second, _relation_key(index, var))
                 )
-        self.closed: list[tuple[str, Formula, list[tuple[Term, int]]]] = []
-        self.premises: list[list[tuple[str, Formula, list[tuple[Term, int]]]]] = [
-            [] for _ in slots
-        ]
-        for lf in premises:
-            spec = [(v, pos[(lf.index, v)]) for v in _formula_vars(lf.formula)]
-            entry = (lf.index, lf.formula, spec)
-            if spec:
-                self.premises[max(k for _, k in spec)].append(entry)
-            else:
-                self.closed.append(entry)
         index = conclusion.index
-        spec = []
-        self.missing: list[tuple[ArrowVar, int, tuple, bool]] = []
+        layout: dict[Term, int] = {}
+        self.missing: list[tuple[int, tuple, bool]] = []
         for v in _formula_vars(conclusion.formula):
             if (index, v) in pos:
-                spec.append((v, pos[(index, v)]))
+                layout[v] = pos[(index, v)]
             else:
+                layout[v] = len(slots) + len(self.missing)
                 anchor = pos[(v.foreign, Var(v.base))]
-                self.missing.append(
-                    (v, anchor, _relation_key(index, v), v.direction == ">")
-                )
-        self.conclusion = (index, conclusion.formula, spec)
+                self.missing.append((anchor, _relation_key(index, v), v.direction == ">"))
+        free = self.width = len(slots) + len(self.missing)
+
+        def compiled(phi: Formula, layout: dict[Term, int]):
+            f, width = _compile(phi, layout, free)
+            self.width = max(self.width, width)
+            return f
+
+        self.conclusion = (index, compiled(conclusion.formula, layout))
+        self.closed: list[tuple[str, _Eval]] = []
+        self.premises: list[list[tuple[str, _Eval]]] = [[] for _ in slots]
+        for lf in premises:
+            layout = {v: pos[(lf.index, v)] for v in _formula_vars(lf.formula)}
+            entry = (lf.index, compiled(lf.formula, layout))
+            if layout:
+                self.premises[max(layout.values())].append(entry)
+            else:
+                self.closed.append(entry)
 
     def check(self, M: DfolModel) -> tuple[bool, Assignment | None]:
         """(True, None) iff every admissible assignment over the slots that
@@ -513,49 +604,47 @@ class _RulePlan:
         conditions = [
             [(a, b, M.rel(*key)) for a, b, key in at_k] for at_k in self.conditions
         ]
-        premises = [
-            [(f, M.models(i), spec) for i, f, spec in at_k] for at_k in self.premises
-        ]
-        c_index, c_formula, c_spec = self.conclusion
+        premises = [[(f, M.models(i)) for i, f in at_k] for at_k in self.premises]
+        c_index, c_formula = self.conclusion
         c_models = M.models(c_index)
-        missing = [
-            (v, anchor, M.rel(*key), value_first)
-            for v, anchor, key, value_first in self.missing
-        ]
-        missing_vars = [v for v, *_ in missing]
-        values: list[str] = [""] * n
+        missing = [(anchor, M.rel(*key), value_first) for anchor, key, value_first in self.missing]
+        values: list = [None] * self.width
 
-        def holds(f: Formula, models: tuple[LocalModel, ...], spec) -> bool:
-            env = {v: values[k] for v, k in spec}
-            return all(satisfies_local(m, f, env) for m in models)
+        def holds(f: _Eval, models: tuple[LocalModel, ...]) -> bool:
+            for m in models:
+                if not f(m, values):
+                    return False
+            return True
 
         def extends() -> bool:
-            env = {v: values[k] for v, k in c_spec}
             choices = []
-            for _, anchor, rel, value_first in missing:
+            for anchor, rel, value_first in missing:
                 at = values[anchor]
                 if value_first:
                     choices.append(sorted(d for d, e in rel if e == at))
                 else:
                     choices.append(sorted(e for d, e in rel if d == at))
             for combo in product(*choices):
-                env.update(zip(missing_vars, combo))
-                if all(satisfies_local(m, c_formula, env) for m in c_models):
+                values[n : n + len(combo)] = combo
+                if holds(c_formula, c_models):
                     return True
             return False
 
         def fails_below(k: int) -> bool:
             if k == n:
                 return not extends()
+            at_k, premises_at_k = conditions[k], premises[k]
             for elem in domains[k]:
                 values[k] = elem
-                if not all((values[a], values[b]) in rel for a, b, rel in conditions[k]):
+                if at_k and not all((values[a], values[b]) in rel for a, b, rel in at_k):
                     continue
-                if all(holds(*p) for p in premises[k]) and fails_below(k + 1):
+                if premises_at_k and not all(holds(*p) for p in premises_at_k):
+                    continue
+                if fails_below(k + 1):
                     return True
             return False
 
-        if all(holds(f, M.models(i), spec) for i, f, spec in self.closed) and fails_below(0):
+        if all(holds(f, M.models(i)) for i, f in self.closed) and fails_below(0):
             return False, Assignment(
                 (i, v, values[k]) for k, (i, v) in enumerate(self.slots)
             )

@@ -187,36 +187,55 @@ class Exists:
 Formula = Atom | Eq | Falsum | Not | And | Or | Implies | Forall | Exists
 
 
-def _formula_hash(f: Formula) -> int:
-    """hash(f), consistent with ==, without recursion: the parser accepts
-    & chains longer than the dataclass hash, which recurses once per
-    level, can follow.  It hashes f in prefix form, which the node types
-    make unambiguous.  The connectives are spelled out, as in substitute,
-    because the tableau hashes every formula it meets."""
-    prefix = []
-    stack = [f]
+def _cached_hash(node) -> int:
+    """The hash a compound formula or an App keeps once computed: each node
+    is hashed once, bottom-up from its children's hashes, so hashing every
+    subformula of a formula costs one walk of it, not one walk per
+    subformula.  The walk uses an explicit stack: the parser accepts &
+    chains, and congruence closure in the tableau builds terms, nested
+    deeper than a recursive hash can follow.
+    Structurally equal nodes get equal hashes, consistent with ==."""
+    h = node.__dict__.get("_hash")
+    if h is not None:
+        return h
+    stack = [node]
     while stack:
-        g = stack.pop()
+        g = stack[-1]
         cls = type(g)
-        if cls is And or cls is Or or cls is Implies:
-            prefix.append(cls)
-            stack.append(g.rhs)
-            stack.append(g.lhs)
-        elif cls is Not:
-            prefix.append(cls)
-            stack.append(g.body)
-        elif cls is Forall or cls is Exists:
-            prefix += (cls, g.var)
-            stack.append(g.body)
+        if cls is App:
+            kids = g.args
+        elif cls is Not or cls is Forall or cls is Exists:
+            kids = (g.body,)
         else:
-            prefix.append(g)
-    return hash(tuple(prefix))
+            kids = (g.lhs, g.rhs)
+        todo = [k for k in kids if type(k) in _CACHED and "_hash" not in k.__dict__]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        hashes = tuple(hash(k) for k in kids)
+        if cls is App:
+            h = hash((cls, g.func, hashes))
+        elif cls is Forall or cls is Exists:
+            h = hash((cls, g.var, hashes))
+        else:
+            h = hash((cls, hashes))
+        object.__setattr__(g, "_hash", h)
+    return node.__dict__["_hash"]
 
 
-def _formula_eq(f: Formula, g: object) -> bool:
-    """f == g for a compound f, walked with an explicit stack for the same
-    reason as _formula_hash; like the dataclass __eq__ it replaces, it
-    compares fields in order and only between instances of one class."""
+def _without_cached_hash(node) -> dict:
+    """Pickled state without the cached hash, which another process with
+    another string-hash seed would get wrong."""
+    return {k: v for k, v in node.__dict__.items() if k != "_hash"}
+
+
+def _node_eq(f: Formula | App, g: object) -> bool:
+    """f == g for a compound formula or an App, walked with an explicit
+    stack for the same reason as _cached_hash (congruence closure in the
+    tableau also builds applications nested that deep); like the dataclass
+    __eq__ it replaces, it compares fields in order and only between
+    instances of one class."""
     if type(g) is not type(f):
         return NotImplemented
     stack = [(f, g)]
@@ -236,14 +255,20 @@ def _formula_eq(f: Formula, g: object) -> bool:
             if a.var != b.var:
                 return False
             stack.append((a.body, b.body))
+        elif cls is App:
+            if a.func != b.func or len(a.args) != len(b.args):
+                return False
+            stack += zip(a.args, b.args)
         elif a != b:
             return False
     return True
 
 
-for _cls in (Not, And, Or, Implies, Forall, Exists):
-    _cls.__hash__ = _formula_hash
-    _cls.__eq__ = _formula_eq
+_CACHED = (Not, And, Or, Implies, Forall, Exists, App)
+for _cls in _CACHED:
+    _cls.__hash__ = _cached_hash
+    _cls.__eq__ = _node_eq
+    _cls.__getstate__ = _without_cached_hash
 del _cls
 
 

@@ -7,6 +7,8 @@ and the domain relations connect the one ball both observers see.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -21,9 +23,12 @@ from dfol.semantics import (
     Assignment,
     DfolModel,
     LocalModel,
+    UndefinedVariableError,
     make_local_model,
+    check_theory,
     enumerate_admissible,
     eval_term,
+    is_admissible,
     load_model,
     model_to_json,
     satisfies_axiom,
@@ -34,10 +39,21 @@ from dfol.semantics import (
     validate_model,
 )
 from dfol.syntax import (
+    And,
     App,
     ArrowVar,
+    Atom,
     Const,
+    Eq,
+    Exists,
+    Falsum,
+    Forall,
+    Implies,
+    LabeledFormula,
+    Not,
+    Or,
     RelationProperty,
+    SyntaxError_,
     Var,
     arrow_vars,
     parse_bridge_rule_text,
@@ -45,7 +61,9 @@ from dfol.syntax import (
     parse_labeled_formula,
     parse_theory,
     render_bridge_rule,
+    render_term,
 )
+from test_syntax import TWO_INDEX, formulas, terms
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -110,6 +128,116 @@ def mbox_model(**overrides) -> DfolModel:
 
 def lf(text: str):
     return parse_labeled_formula(MBOX_THEORY, text)
+
+
+# ---------------------------------------------------------------------------
+# the reference evaluator: the tree-walking interpreter that the compiled
+# closures replaced, kept as the independent side of the differential tests
+# ---------------------------------------------------------------------------
+
+
+def _reference_eval_term(m: LocalModel, env, t):
+    if isinstance(t, (Var, ArrowVar)):
+        try:
+            return env[t]
+        except KeyError:
+            raise UndefinedVariableError(f"unassigned variable {render_term(t)}") from None
+    if isinstance(t, Const):
+        return m.const(t.name)
+    if isinstance(t, App):
+        return m.func(t.func, tuple(_reference_eval_term(m, env, a) for a in t.args))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _reference_satisfies_local(m: LocalModel, phi, env) -> bool:
+    if isinstance(phi, Atom):
+        return tuple(_reference_eval_term(m, env, a) for a in phi.args) in m.pred(phi.pred)
+    if isinstance(phi, Eq):
+        return _reference_eval_term(m, env, phi.lhs) == _reference_eval_term(m, env, phi.rhs)
+    if isinstance(phi, Falsum):
+        return False
+    if isinstance(phi, Not):
+        return not _reference_satisfies_local(m, phi.body, env)
+    if isinstance(phi, And):
+        return _reference_satisfies_local(m, phi.lhs, env) and _reference_satisfies_local(m, phi.rhs, env)
+    if isinstance(phi, Or):
+        return _reference_satisfies_local(m, phi.lhs, env) or _reference_satisfies_local(m, phi.rhs, env)
+    if isinstance(phi, Implies):
+        return (not _reference_satisfies_local(m, phi.lhs, env)) or _reference_satisfies_local(m, phi.rhs, env)
+    if isinstance(phi, Forall):
+        v = Var(phi.var)
+        return all(_reference_satisfies_local(m, phi.body, {**env, v: d}) for d in m.domain)
+    if isinstance(phi, Exists):
+        v = Var(phi.var)
+        return any(_reference_satisfies_local(m, phi.body, {**env, v: d}) for d in m.domain)
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def _reference_satisfies_labeled(M: DfolModel, lf, a: Assignment) -> bool:
+    if not is_admissible(M, a, lf):
+        return False
+    env = a.env(lf.index)
+    return all(_reference_satisfies_local(m, lf.formula, env) for m in M.models(lf.index))
+
+
+def _outcome(fn, *args):
+    """fn's result, or the message of the UndefinedVariableError it raised."""
+    try:
+        return fn(*args)
+    except UndefinedVariableError as exc:
+        return ("undefined", str(exc))
+
+
+# the variables formulas() draws, free or bound
+_ENV_VARS = [Var(n) for n in "xyz"] + [
+    ArrowVar(n, d, "2", label) for n in "xyz" for d in "<>" for label in (None, "E")
+]
+
+
+@st.composite
+def partial_local_models(draw):
+    """Local models for TWO_INDEX's index 1 over one or two elements that
+    may leave c, d or f uninterpreted."""
+    dom = ("a", "b")[: draw(st.integers(1, 2))]
+    elem = st.sampled_from(dom)
+    consts = {c: draw(elem) for c in ("c", "d") if draw(st.booleans())}
+    funcs = {"f": {(e,): draw(elem) for e in dom}} if draw(st.booleans()) else {}
+    preds = {
+        "p": draw(st.sets(st.sampled_from([(e,) for e in dom]))),
+        "q": draw(st.sets(st.sampled_from(list(product(dom, repeat=2))))),
+        "r": draw(st.sets(st.just(()))),
+    }
+    return make_local_model(dom, consts, funcs, preds)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(m=partial_local_models(), phi=formulas(), t=terms(), data=st.data())
+def test_compiled_evaluation_matches_the_reference(m, phi, t, data):
+    env = {
+        v: data.draw(st.sampled_from(m.domain))
+        for v in data.draw(st.lists(st.sampled_from(_ENV_VARS), unique=True))
+    }
+    assert _outcome(satisfies_local, m, phi, env) == _outcome(_reference_satisfies_local, m, phi, env)
+    assert _outcome(eval_term, m, env, t) == _outcome(_reference_eval_term, m, env, t)
+
+
+def test_a_quantifier_does_not_overwrite_the_variable_it_shadows():
+    m = make_local_model(("a", "b"), preds={"p": [("b",)]})
+    # the inner x ranges over a and b; the outer x keeps its value a
+    phi = parse_formula(TWO_INDEX, "1", "(exists x. p(x)) & ~p(x)")
+    assert satisfies_local(m, phi, {Var("x"): "a"})
+    assert satisfies_local(m, Exists("x", phi), {})
+
+
+def test_unassigned_variables_raise_only_where_they_are_reached():
+    m = make_local_model(("a",), preds={"p": [("a",)]})
+    assert satisfies_local(m, parse_formula(TWO_INDEX, "1", "p(x) | p(y)"), {Var("x"): "a"})
+    with pytest.raises(UndefinedVariableError, match="unassigned variable y"):
+        satisfies_local(m, parse_formula(TWO_INDEX, "1", "p(y) | p(x)"), {Var("x"): "a"})
+    with pytest.raises(UndefinedVariableError, match="constant c not interpreted"):
+        satisfies_local(m, parse_formula(TWO_INDEX, "1", "p(f(c))"), {})
+    with pytest.raises(UndefinedVariableError, match="unassigned variable x\\^>2"):
+        eval_term(m, {Var("x"): "a"}, ArrowVar("x", ">", "2"))
 
 
 # ---------------------------------------------------------------------------
@@ -713,11 +841,13 @@ def _naive_sweep(M, slots):
 def _naive_bridge_rule(M, rule):
     concl = rule.conclusion
     for a in _naive_sweep(M, _rule_slots(rule)):
-        if not all(satisfies_labeled(M, p, a) for p in rule.premises):
+        if not all(_reference_satisfies_labeled(M, p, a) for p in rule.premises):
             continue
         missing = [av for av in arrow_vars(concl.formula) if not a.defined(concl.index, av)]
         if not any(
-            satisfies_labeled(M, concl, a.extend((concl.index, av, e) for av, e in zip(missing, elems)))
+            _reference_satisfies_labeled(
+                M, concl, a.extend((concl.index, av, e) for av, e in zip(missing, elems))
+            )
             for elems in product(M.domains[concl.index], repeat=len(missing))
         ):
             return False, a
@@ -726,7 +856,7 @@ def _naive_bridge_rule(M, rule):
 
 def _naive_axiom(M, ax):
     for a in _naive_sweep(M, _variables_of([ax])):
-        if not satisfies_labeled(M, ax, a):
+        if not _reference_satisfies_labeled(M, ax, a):
             return False, a
     return True, None
 
@@ -783,3 +913,86 @@ def test_bridge_rule_check_matches_naive_sweep(M):
 def test_axiom_check_matches_naive_sweep(M):
     for ax in DIFF_AXIOMS:
         assert satisfies_axiom(M, ax) == _naive_axiom(M, ax), ax
+
+
+# conclusions whose quantifiers run after, or around, a read of an arrow
+# variable found by extension search, and premises that shadow a slot
+SLOT_RULES = [
+    parse_bridge_rule_text(DIFF_THEORY, text)
+    for text in (
+        "1: p(x) ==> 2: (exists y. ~s(y)) & s(x^<1)",
+        "1: p(x) ==> 2: exists y. ~(y = x^<1)",
+        "1: (exists x. q(x)) & p(x) ==> 2: forall y. s(y) | t(x^<1) & (exists x. ~t(x))",
+    )
+]
+
+
+def test_conclusion_quantifiers_keep_the_extension_slots():
+    M = DfolModel(
+        {"1": ("a",), "2": ("a", "b"), "3": ("a",)},
+        {
+            "1": (make_local_model(("a",), preds={"p": [("a",)]}),),
+            "2": (make_local_model(("a", "b"), preds={"s": [("a",)]}),),
+        },
+        {("1", "2", None): frozenset({("a", "a")})},
+    )
+    assert satisfies_bridge_rule(M, SLOT_RULES[0]) == (True, None)
+    assert _naive_bridge_rule(M, SLOT_RULES[0]) == (True, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(M=small_models())
+def test_rules_with_quantified_conclusions_match_naive_sweep(M):
+    for rule in SLOT_RULES:
+        assert satisfies_bridge_rule(M, rule) == _naive_bridge_rule(M, rule), render_bridge_rule(rule)
+
+
+# ---------------------------------------------------------------------------
+# the nesting limit: evaluation recurses once per level, as the parser does
+# ---------------------------------------------------------------------------
+
+DEEP_THEORY = parse_theory("index 1\nsignature 1 { const c; pred p/1; }")
+
+
+def _deepest_accepted(make) -> int:
+    """The largest n for which parse_formula accepts make(n), found by
+    bisection at this test's stack depth."""
+    lo, hi = 1, 1000
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            parse_formula(DEEP_THEORY, "1", make(mid))
+            lo = mid
+        except SyntaxError_:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: "~" * n + "p(c)",
+        lambda n: "(" * n + "p(c)" + ")" * n,
+        lambda n: "exists y. " * n + "p(c)",
+        lambda n: "forall y. " * n + "p(c)",
+    ],
+    ids=["negations", "parentheses", "exists", "forall"],
+)
+@pytest.mark.parametrize("holds", [True, False])
+def test_the_deepest_parsed_formulas_evaluate(make, holds):
+    n = _deepest_accepted(make)
+    assert n < 1000
+    phi = parse_formula(DEEP_THEORY, "1", make(n))
+    # one element, so that a chain of n quantifiers takes n steps, not 2^n
+    m = make_local_model(("a",), consts={"c": "a"}, preds={"p": [("a",)] if holds else []})
+    # the reference recurses up to three frames per quantifier
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 3 * n)
+    try:
+        expected = _reference_satisfies_local(m, phi, {})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert satisfies_local(m, phi, {}) is expected
+    T = dataclasses.replace(DEEP_THEORY, axioms=(LabeledFormula("1", phi),))
+    M = DfolModel({"1": m.domain}, {"1": (m,)}, {})
+    assert check_theory(T, M).ok is expected

@@ -591,3 +591,46 @@ def test_tableau_collects_ground_terms_once_per_formula(monkeypatch):
     premise = parse_formula(T, "1", "forall x. " + _chain(600))
     assert tableau_valid([premise], parse_formula(T, "1", "p(c)"))
     assert not tableau_valid([premise], parse_formula(T, "1", "q(c)"))
+
+
+def test_tableau_hashes_each_subformula_once(monkeypatch):
+    # a compound formula keeps its hash, computed from its children's, so
+    # the tableau hashing every subformula it pops walks each node once:
+    # hashes of the atoms below grow linearly with the conjunction
+    T = parse_theory("index 1\nsignature 1 { const c; pred p/1, q/1; }")
+    atom_hash = Atom.__hash__
+    visits = {}
+    for n in (100, 200, 400):
+        count = [0]
+
+        def counting_hash(a, count=count):
+            count[0] += 1
+            return atom_hash(a)
+
+        monkeypatch.setattr(Atom, "__hash__", counting_hash)
+        premise = parse_formula(T, "1", "forall x. " + _chain(n))
+        assert tableau_valid([premise], parse_formula(T, "1", "p(c)"))
+        assert not tableau_valid([premise], parse_formula(T, "1", "q(c)"))
+        visits[n] = count[0]
+        monkeypatch.undo()
+    assert visits[400] - visits[200] == 2 * (visits[200] - visits[100])
+    assert visits[400] <= 25 * 400
+    premise = parse_formula(T, "1", "forall x. " + _chain(600))
+    assert tableau_valid([premise], parse_formula(T, "1", "p(c)"))
+    assert not tableau_valid([premise], parse_formula(T, "1", "q(c)"))
+
+
+def test_congruence_closure_follows_deep_applications():
+    # x = f(y) for all x, y merges every term with its f-image; congruence
+    # closure then builds applications nested once per pass, deeper than a
+    # recursive == can compare
+    T = parse_theory("index 1\nsignature 1 { const c, d; func f/1; pred p/1, r/0; }")
+    premise = parse_formula(T, "1", "forall x. forall y. x = f(y)")
+    conclusion = parse_formula(T, "1", "(forall x. r) | (forall x. p(x))")
+    assert not tableau_valid([premise], conclusion)
+    deep = Const("c")
+    for _ in range(5000):
+        deep = App("f", (deep,))
+    other = App("f", (deep,))
+    assert deep == App("f", deep.args) and deep != other and hash(deep) != hash(other)
+    assert {deep: 1}[App("f", deep.args)] == 1
