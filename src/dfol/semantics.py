@@ -24,6 +24,18 @@ formula or term is a `TypeError` at compile time.  `satisfies_local`,
 per call; a bridge-rule or axiom plan (`_RulePlan`) compiles its premises
 and conclusion once against the rule's own slots, with the conclusion's
 extension-searched arrow variables in the slots right after them.
+
+An arrow condition pairs two slots through one domain relation, so a plan
+never sweeps the later of the two over its whole domain.  When checking a
+model, each relation that a slot's first arrow condition or an
+extension-searched arrow variable reads is turned, once per check, into an
+image table: each element's partners, restricted to the partner index's
+domain, in sorted order.  A slot with conditions takes its candidates from
+the image of the already bound slot through its first condition (forward
+when it is the pair's second element, backward when the first), and
+further conditions on it filter by membership; an extension-searched arrow
+variable ranges over the image of its anchor.  Candidates thus come in the
+plain sweep's order.
 """
 
 from __future__ import annotations
@@ -535,18 +547,30 @@ class _RulePlan:
     checking it on a model is a walk over one flat list of slot values.
 
     Everything that depends on the rule alone is resolved here:
-    - `conditions[k]`: the arrow conditions decidable once slot k is bound,
-      as (first, second, relation key): the pair of those slots' values
-      must lie in the relation;
+    - `images`: the distinct (relation key, forward) pairs whose image
+      tables `check` builds for a model; a forward table maps an element to
+      the second elements of its pairs, a backward one to the first ones;
+    - `sources[k]`: where slot k's candidates come from.  None means the
+      whole (sorted) domain of its index.  A slot with arrow conditions is
+      bound only to the partners of an earlier slot's value through the
+      relation of its first condition, as (other slot, image): the forward
+      image when slot k is the second element of the pair, the backward
+      image when it is the first;
+    - `conditions[k]`: the further arrow conditions decidable once slot k
+      is bound, as (first, second, relation key): the pair of those slots'
+      values must lie in the relation;
     - `premises[k]`: the premises whose last variable is slot k, as (index,
       compiled formula); `closed` holds the premises with no variable;
     - the conclusion's (index, compiled formula), and its `missing` arrow
-      variables (anchor position, relation key, whether the variable's
-      value comes first in a pair), in extension-search order.  They take
-      the slots right after the rule's own, and every quantifier slot
-      comes after those; `width` is the length of the values list.
+      variables as (anchor slot, image), in extension-search order: each
+      ranges over the image of its anchor's value.  They take the slots
+      right after the rule's own, and every quantifier slot comes after
+      those; `width` is the length of the values list.
 
-    An axiom is a premise-free plan whose arrow variables are all slots.
+    An image table is restricted to the domain of the slots it binds and
+    kept in sorted order, so candidates come in the order of the plain
+    sweep.  An axiom is a premise-free plan whose arrow variables are all
+    slots.
     """
 
     def __init__(
@@ -557,24 +581,39 @@ class _RulePlan:
     ):
         pos = {s: k for k, s in enumerate(slots)}
         self.slots = slots
-        self.conditions: list[list[tuple[int, int, tuple]]] = [[] for _ in slots]
+        conditions: list[list[tuple[int, int, tuple]]] = [[] for _ in slots]
         for k, (index, var) in enumerate(slots):
             if isinstance(var, ArrowVar):
                 anchor = pos[(var.foreign, Var(var.base))]
                 first, second = (k, anchor) if var.direction == ">" else (anchor, k)
-                self.conditions[max(k, anchor)].append(
-                    (first, second, _relation_key(index, var))
-                )
+                conditions[max(k, anchor)].append((first, second, _relation_key(index, var)))
+        self.images: list[tuple[tuple, bool]] = []
+
+        def image(key: tuple, forward: bool) -> int:
+            if (key, forward) not in self.images:
+                self.images.append((key, forward))
+            return self.images.index((key, forward))
+
+        self.sources: list[tuple[int, int] | None] = []
+        self.conditions: list[list[tuple[int, int, tuple]]] = []
+        for k, at_k in enumerate(conditions):
+            if at_k:
+                first, second, key = at_k[0]
+                forward = second == k
+                self.sources.append((first if forward else second, image(key, forward)))
+            else:
+                self.sources.append(None)
+            self.conditions.append(at_k[1:])
         index = conclusion.index
         layout: dict[Term, int] = {}
-        self.missing: list[tuple[int, tuple, bool]] = []
+        self.missing: list[tuple[int, int]] = []
         for v in _formula_vars(conclusion.formula):
             if (index, v) in pos:
                 layout[v] = pos[(index, v)]
             else:
                 layout[v] = len(slots) + len(self.missing)
                 anchor = pos[(v.foreign, Var(v.base))]
-                self.missing.append((anchor, _relation_key(index, v), v.direction == ">"))
+                self.missing.append((anchor, image(_relation_key(index, v), v.direction == "<")))
         free = self.width = len(slots) + len(self.missing)
 
         def compiled(phi: Formula, layout: dict[Term, int]):
@@ -601,13 +640,16 @@ class _RulePlan:
         skips only assignments the plain sweep would skip too."""
         n = len(self.slots)
         domains = [sorted(M.domains.get(i, ())) for i, _ in self.slots]
+        tables = [_image(M, key, forward) for key, forward in self.images]
+        sources = self.sources
+        # `at_k and ...` keeps a slot's empty list as it is, without a call
         conditions = [
-            [(a, b, M.rel(*key)) for a, b, key in at_k] for at_k in self.conditions
+            at_k and [(a, b, M.rel(*key)) for a, b, key in at_k] for at_k in self.conditions
         ]
-        premises = [[(f, M.models(i)) for i, f in at_k] for at_k in self.premises]
+        premises = [at_k and [(f, M.models(i)) for i, f in at_k] for at_k in self.premises]
         c_index, c_formula = self.conclusion
         c_models = M.models(c_index)
-        missing = [(anchor, M.rel(*key), value_first) for anchor, key, value_first in self.missing]
+        missing = self.missing
         values: list = [None] * self.width
 
         def holds(f: _Eval, models: tuple[LocalModel, ...]) -> bool:
@@ -617,13 +659,7 @@ class _RulePlan:
             return True
 
         def extends() -> bool:
-            choices = []
-            for anchor, rel, value_first in missing:
-                at = values[anchor]
-                if value_first:
-                    choices.append(sorted(d for d, e in rel if e == at))
-                else:
-                    choices.append(sorted(e for d, e in rel if d == at))
+            choices = [tables[t].get(values[anchor], ()) for anchor, t in missing]
             for combo in product(*choices):
                 values[n : n + len(combo)] = combo
                 if holds(c_formula, c_models):
@@ -633,8 +669,9 @@ class _RulePlan:
         def fails_below(k: int) -> bool:
             if k == n:
                 return not extends()
-            at_k, premises_at_k = conditions[k], premises[k]
-            for elem in domains[k]:
+            source, at_k, premises_at_k = sources[k], conditions[k], premises[k]
+            elems = domains[k] if source is None else tables[source[1]].get(values[source[0]], ())
+            for elem in elems:
                 values[k] = elem
                 if at_k and not all((values[a], values[b]) in rel for a, b, rel in at_k):
                     continue
@@ -649,6 +686,28 @@ class _RulePlan:
                 (i, v, values[k]) for k, (i, v) in enumerate(self.slots)
             )
         return True, None
+
+
+def _image(M: DfolModel, key: tuple, forward: bool) -> dict[str, list[str]]:
+    """Each element's partners through relation `key`: the second elements
+    of its pairs if forward, else the first ones, kept only if they lie in
+    the domain of their index, in sorted order."""
+    table: dict[str, list[str]] = {}
+    rel = M.relations.get(key)
+    if rel:
+        allowed = frozenset(M.domains.get(key[1] if forward else key[0], ()))
+        if forward:
+            for d, e in rel:
+                if e in allowed:
+                    table.setdefault(d, []).append(e)
+        else:
+            for d, e in rel:
+                if d in allowed:
+                    table.setdefault(e, []).append(d)
+        if len(rel) > 1:
+            for partners in table.values():
+                partners.sort()
+    return table
 
 
 def _rule_plan(rule: BridgeRule) -> _RulePlan:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -945,6 +946,120 @@ def test_conclusion_quantifiers_keep_the_extension_slots():
 def test_rules_with_quantified_conclusions_match_naive_sweep(M):
     for rule in SLOT_RULES:
         assert satisfies_bridge_rule(M, rule) == _naive_bridge_rule(M, rule), render_bridge_rule(rule)
+
+
+# arrow slots bound from relation images: several conditions on one slot,
+# labelled arrows on either side of their anchor, extension search through
+# labelled relations, and relation pairs that leave the domains
+IMAGE_RULES = [
+    parse_bridge_rule_text(DIFF_THEORY, text)
+    for text in (
+        "1: p(x^>3), 2: s(x^>3) ==> 3: r(x, x)",
+        "1: p(x^>2@E) ==> 2: s(x)",
+        "1: p(x^>2), 1: q(x^>2@E) ==> 2: t(x)",
+        "1: p(x), 2: s(x^<1@E) ==> 2: t(x^<1@E)",
+        "1: p(x) ==> 2: s(x^<1@E)",
+        "1: p(x) & q(y) ==> 3: r(x^<1, y^<1@E) | r(y^<1, y^<1)",
+    )
+]
+
+IMAGE_AXIOMS = [
+    parse_labeled_formula(DIFF_THEORY, text)
+    for text in (
+        "1: p(x^>2) & q(x^>2@E)",
+        "3: r(x^<1, x^<2@E) -> r(y^<2@E, x^<1)",
+    )
+]
+
+
+@st.composite
+def image_models(draw):
+    """Models over DIFF_THEORY whose relations, unlabelled and labelled
+    `E`, may hold pairs with an element `z` outside both domains."""
+    M = draw(small_models())
+    relations = {}
+    for i in M.domains:
+        for j in M.domains:
+            if i != j:
+                pairs = list(product(M.domains[i] + ("z",), M.domains[j] + ("z",)))
+                for label in (None, "E"):
+                    relations[(i, j, label)] = frozenset(draw(st.sets(st.sampled_from(pairs))))
+    return DfolModel(M.domains, M.model_sets, relations)
+
+
+def test_image_rules_put_two_conditions_on_one_slot_and_use_labels():
+    # two arrow slots on one anchor: the later slot carries two conditions
+    anchors = [
+        Counter((v.foreign, v.base) for _, v in _rule_slots(r) if isinstance(v, ArrowVar))
+        for r in IMAGE_RULES
+    ]
+    assert any(2 in c.values() for c in anchors)
+    labelled = {
+        v
+        for r in IMAGE_RULES
+        for lf in (*r.premises, r.conclusion)
+        for v in arrow_vars(lf.formula)
+        if v.label
+    }
+    assert {v.direction for v in labelled} == {">", "<"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=image_models())
+def test_image_bound_slots_match_naive_sweep(M):
+    for rule in IMAGE_RULES:
+        assert satisfies_bridge_rule(M, rule) == _naive_bridge_rule(M, rule), render_bridge_rule(rule)
+    for ax in IMAGE_AXIOMS:
+        assert satisfies_axiom(M, ax) == _naive_axiom(M, ax), ax
+
+
+def test_extensions_stay_inside_the_conclusion_domain():
+    T = parse_theory(
+        """
+        index 1, 2
+        signature 1 { pred p/1; }
+        signature 2 { pred q/1; }
+        bridge 1: p(x) ==> 2: q(x^<1)
+        """
+    )
+    M = DfolModel(
+        {"1": ("a",), "2": ("b",)},
+        {
+            "1": (make_local_model(("a",), preds={"p": [("a",)]}),),
+            "2": (make_local_model(("b",), preds={"q": [("z",)]}),),
+        },
+        {("1", "2", None): frozenset({("a", "z")})},
+    )
+    (rule,) = T.rules
+    expected = (False, Assignment([("1", Var("x"), "a")]))
+    assert _naive_bridge_rule(M, rule) == expected
+    assert satisfies_bridge_rule(M, rule) == expected
+
+
+class _CountingRelation(frozenset):
+    """A relation that counts its membership tests."""
+
+    tests = 0
+
+    def __contains__(self, pair):
+        self.tests += 1
+        return super().__contains__(pair)
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_an_arrow_slot_is_not_swept_over_its_whole_domain(n):
+    T = parse_theory("index 1, 2\nsignature 1 { pred p/1; }\nsignature 2 { pred p/1; }")
+    rule = parse_bridge_rule_text(T, "1: p(x^>2) ==> 2: p(x)")
+    dom = tuple(f"e{k:03d}" for k in range(n))
+    everywhere = make_local_model(dom, preds={"p": [(e,) for e in dom]})
+    identity = _CountingRelation((e, e) for e in dom)
+    M = DfolModel(
+        {"1": dom, "2": dom},
+        {"1": (everywhere,), "2": (everywhere,)},
+        {("1", "2", None): identity},
+    )
+    assert satisfies_bridge_rule(M, rule) == (True, None)
+    assert identity.tests <= n
 
 
 # ---------------------------------------------------------------------------
