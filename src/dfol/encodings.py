@@ -100,6 +100,7 @@ from .syntax import (
     Theory,
     TokenStream,
     Var,
+    _FormulaParser,
     _name_token,
     _parse_signature_block,
     _whole_formula,
@@ -286,9 +287,7 @@ class OntologyBlock:
 
 
 def _parse_name_list(ts: TokenStream, what: str) -> tuple[str, ...]:
-    names = [_name_token(ts, what).text]
-    while ts.accept(","):
-        names.append(_name_token(ts, what).text)
+    names = ts.separated(lambda: _name_token(ts, what).text)
     ts.expect(";")
     return tuple(names)
 
@@ -746,54 +745,33 @@ class QmlSpec:
     sources: tuple[str, ...]
 
 
-class _QmlParser:
-    """Recursive-descent parser for the modal dialect formulas."""
+class _QmlParser(_FormulaParser):
+    """The core formula parser over a bare signature, with `box`, de-re
+    bindings and `true`.  `&` and `|` chains nest to the left, and a name
+    applied to arguments reads as a function or a predicate by its arity."""
 
     def __init__(self, sig: Signature, ts: TokenStream):
         self.sig = sig
         self.ts = ts
 
-    def formula(self) -> Formula:
-        f = self.or_level()
-        if self.ts.accept("->"):
-            return Implies(f, self.formula())  # right associative
-        return f
-
-    def or_level(self) -> Formula:
-        f = self.and_level()
+    def disjunction(self) -> Formula:
+        f = self.conjunction()
         while self.ts.accept("|"):
-            f = Or(f, self.and_level())
+            f = Or(f, self.conjunction())
         return f
 
-    def and_level(self) -> Formula:
-        f = self.unary()
+    def conjunction(self) -> Formula:
+        f = self.negation()
         while self.ts.accept("&"):
-            f = And(f, self.unary())
+            f = And(f, self.negation())
         return f
 
-    def unary(self) -> Formula:
-        ts = self.ts
-        if ts.accept("~"):
-            return Not(self.unary())
-        if ts.accept("ident", "forall"):
-            name = _name_token(ts, "a variable").text
-            ts.expect(".")
-            return Forall(name, self.formula())
-        if ts.accept("ident", "exists"):
-            name = _name_token(ts, "a variable").text
-            ts.expect(".")
-            return Exists(name, self.formula())
-        if ts.accept("ident", "box"):
+    def atom(self) -> Formula:
+        if self.ts.accept("ident", "box"):
             return self.box()
-        if ts.accept("ident", "false"):
-            return Falsum()
-        if ts.accept("ident", "true"):
+        if self.ts.accept("ident", "true"):
             return Not(Falsum())
-        if ts.accept("("):
-            f = self.formula()
-            ts.expect(")")
-            return f
-        return self.atom()
+        return super().atom()
 
     STATEMENT_WORDS = frozenset({"formula", "semantics", "domains", "signature", "contexts"})
 
@@ -811,7 +789,7 @@ class _QmlParser:
                 ts.pos = saved
             else:
                 bindings = parsed
-        return BoxF(self.unary(), bindings)
+        return BoxF(self.negation(), bindings)
 
     def try_bindings(self) -> tuple[tuple[str, Term], ...] | None:
         ts = self.ts
@@ -821,30 +799,28 @@ class _QmlParser:
             while True:
                 name = _name_token(ts, "a variable").text
                 ts.expect("=")
-                pairs.append((name, self.term(as_atom_ok=False)))
+                pairs.append((name, self.term()))
                 if ts.accept(")"):
                     return tuple(pairs)
                 ts.expect(",")
         except SyntaxError_:
             return None
 
-    def atom(self) -> Formula:
-        lhs = self.term()
+    def relation(self) -> Formula:
+        lhs = self.term(as_atom_ok=True)
         if self.ts.accept("="):
             if isinstance(lhs, Atom):
                 raise self.ts.error("left side of = must be a term")
-            return Eq(lhs, self.term(as_atom_ok=False))
+            return Eq(lhs, self.term())
         if isinstance(lhs, Atom):
             return lhs
         raise self.ts.error("expected an atom or equation")
 
-    def term(self, *, as_atom_ok: bool = True) -> Term:
+    def term(self, *, as_atom_ok: bool = False) -> Term:
         ts = self.ts
         name = _name_token(ts, "a term").text
         if ts.accept("("):
-            args = [self.term(as_atom_ok=False)]
-            while ts.accept(","):
-                args.append(self.term(as_atom_ok=False))
+            args = ts.separated(self.term)
             ts.expect(")")
             if self.sig.func_arity(name) == len(args):
                 return App(name, tuple(args))
@@ -1020,10 +996,9 @@ class _QlcParser(_QmlParser):
     def box(self) -> Formula:
         raise self.ts.error("box is not part of this dialect")
 
-    def unary(self) -> Formula:
+    def atom(self) -> Formula:
         ts = self.ts
-        if ts.at("ident", "ist"):
-            ts.next()
+        if ts.accept("ident", "ist"):
             ts.expect("(")
             ctx = _name_token(ts, "a context name").text
             if ctx not in self.contexts:
@@ -1032,7 +1007,7 @@ class _QlcParser(_QmlParser):
             body = self.formula()
             ts.expect(")")
             return IstF(ctx, body)
-        return super().unary()
+        return super().atom()
 
 
 def parse_qlc(text: str) -> QlcSpec:
@@ -1044,9 +1019,7 @@ def parse_qlc(text: str) -> QlcSpec:
     lines = text.splitlines()
     while not ts.at("eof"):
         if ts.accept("ident", "contexts"):
-            contexts = contexts + (_name_token(ts, "a context name").text,)
-            while ts.accept(","):
-                contexts = contexts + (_name_token(ts, "a context name").text,)
+            contexts += tuple(ts.separated(lambda: _name_token(ts, "a context name").text))
         elif ts.at("ident", "signature"):
             ts.next()
             sig = _parse_signature_block(ts, sig)

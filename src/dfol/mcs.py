@@ -41,15 +41,27 @@ System files look like::
     rule 2:q <- 1:p.
     rule 2:r <- not(1:p).
 
-`letters` and `axiom` entries may repeat inside a block; axioms are
-propositional formulas over the block's letters (`~ & | -> false`).
-A rule with no `<-` part is a fact and is always applicable.
+The grammar, over the tokens of theory files (`syntax.tokenize`)::
+
+    system  := ('context' NAME '{' entry* '}' | 'rule' ATOM ('<-' body?)? '.')*
+    entry   := 'letters' NAME (',' NAME)* ';' | 'axiom' FORMULA ';'
+    body    := premise (',' premise)*
+    premise := ATOM | 'not' '(' ATOM ')'
+    ATOM    := NAME ':' NAME
+
+A NAME is an identifier or a number, but not a keyword of theory files
+(`false`, `forall`, `axiom`, ...); a context may be called `not`.  `#`
+starts a comment, and whitespace may appear between any two tokens, as
+in `not ( 1 : p )`.  Entries may repeat in any order; an axiom is a
+propositional formula (`~ & | -> false`) over all its block's letters.
+A rule with no body is a fact, and is always applicable; it may name
+contexts declared after it.  A malformed file raises `PropFormatError`
+naming the line of the file.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -64,11 +76,17 @@ from .syntax import (
     Implies,
     Not,
     Or,
+    Signature,
     SyntaxError_,
+    Theory,
+    Token,
+    TokenStream,
+    _FormulaParser,
+    _name_token,
+    _whole_formula,
     children,
-    parse_formula,
-    parse_theory,
     render_formula,
+    tokenize,
 )
 
 __all__ = [
@@ -144,174 +162,124 @@ class PropFormatError(Exception):
 # Parsing
 # ---------------------------------------------------------------------------
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+")
 
-
-class _Scanner:
-    def __init__(self, text: str):
-        # strip comments but keep line structure for error reporting
-        self.text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-        self.pos = 0
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self._skip_ws()
-        return self.pos >= len(self.text)
-
-    def error(self, message: str) -> PropFormatError:
-        line = self.text.count("\n", 0, self.pos) + 1
-        return PropFormatError(f"line {line}: {message}")
-
-    def peek_name(self) -> str | None:
-        self._skip_ws()
-        m = _NAME.match(self.text, self.pos)
-        return m.group(0) if m else None
-
-    def name(self, what: str) -> str:
-        got = self.peek_name()
-        if got is None:
-            raise self.error(f"expected {what}")
-        self.pos += len(got)
-        return got
-
-    def literal(self, token: str) -> None:
-        self._skip_ws()
-        if not self.text.startswith(token, self.pos):
-            raise self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def tries(self, token: str) -> bool:
-        self._skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def until(self, stop: str, what: str) -> str:
-        self._skip_ws()
-        end = self.text.find(stop, self.pos)
-        if end < 0:
-            raise self.error(f"unterminated {what}, expected {stop!r}")
-        raw = self.text[self.pos:end]
-        self.pos = end + len(stop)
-        return raw
-
-
-def _assert_propositional(f: Formula) -> None:
+def _assert_propositional(f: Formula, at: Token) -> None:
     if isinstance(f, (Forall, Exists)):
-        raise PropFormatError("axioms must be propositional, found a quantifier")
+        raise SyntaxError_("axioms must be propositional, found a quantifier", at.line, at.col)
     if isinstance(f, Eq):
-        raise PropFormatError(
-            f"axioms must be propositional, found {render_formula(f)}"
+        raise SyntaxError_(
+            f"axioms must be propositional, found {render_formula(f)}", at.line, at.col
         )
     for g in children(f):
-        _assert_propositional(g)
+        _assert_propositional(g, at)
 
 
-def _parse_rule_atom(raw: str, sc: _Scanner) -> tuple[bool, str, str]:
-    raw = raw.strip()
-    negative = False
-    if raw.startswith("not(") and raw.endswith(")"):
-        negative = True
-        raw = raw[len("not("):-1].strip()
-    ctx, colon, letter = raw.partition(":")
-    ctx, letter = ctx.strip(), letter.strip()
-    if not colon or not _NAME.fullmatch(ctx) or not _NAME.fullmatch(letter):
-        raise sc.error(f"bad rule atom {raw!r}, expected context:letter")
+def _rule_atom(ts: TokenStream) -> tuple[bool, Token, Token]:
+    """`j:p` or `not(j:p)` as (negative, context token, letter token); a
+    context may itself be called `not`."""
+    negative = ts.at("ident", "not") and ts.tokens[ts.pos + 1].kind == "("
+    if negative:
+        ts.pos += 2
+    ctx = _name_token(ts, "a context name")
+    ts.expect(":")
+    letter = _name_token(ts, "a letter")
+    if negative:
+        ts.expect(")")
     return negative, ctx, letter
+
+
+def _parse_context(ts: TokenStream, theory: Theory, axioms: dict[str, tuple[Formula, ...]]) -> None:
+    """A `context` block, after its keyword: the context goes into `theory`,
+    with its letters as 0-ary predicates, and its axioms into `axioms`."""
+    tok = _name_token(ts, "a context name")
+    ctx = tok.text
+    if ctx in theory.signatures:
+        raise SyntaxError_(f"duplicate context {ctx!r}", tok.line, tok.col)
+    ts.expect("{")
+    letters: list[str] = []
+    axiom_starts: list[int] = []
+    while not ts.accept("}"):
+        if ts.accept("ident", "letters"):
+            for p in ts.separated(lambda: _name_token(ts, "a letter")):
+                if p.text in letters:
+                    raise SyntaxError_(f"duplicate letter {p.text!r} in context {ctx}", p.line, p.col)
+                letters.append(p.text)
+            ts.expect(";")
+        elif ts.accept("ident", "axiom"):
+            # parsed once the block closes, since letters may follow it
+            axiom_starts.append(ts.pos)
+            while not ts.accept(";"):
+                if ts.at("eof"):
+                    raise ts.error("unterminated axiom, expected ';'")
+                ts.next()
+        else:
+            tok = ts.peek()
+            raise ts.error(f"expected 'letters', 'axiom' or '}}', found {tok.text or tok.kind!r}")
+    theory.indices += (ctx,)
+    theory.signatures[ctx] = Signature(preds=tuple((p, 0) for p in letters))
+    end = ts.pos
+    parsed = []
+    for start in axiom_starts:
+        ts.pos = start
+        f = _whole_formula(_FormulaParser(theory, ctx, ts))
+        ts.expect_end(";")
+        _assert_propositional(f, ts.tokens[start])
+        parsed.append(f)
+    ts.pos = end
+    axioms[ctx] = tuple(parsed)
+
+
+def _parse_rule(ts: TokenStream) -> list[tuple[bool, Token, Token]]:
+    """A `rule` after its keyword: its head atom, then its body atoms."""
+    atoms = [_rule_atom(ts)]
+    if atoms[0][0]:
+        raise SyntaxError_("rule heads cannot be not(...) atoms", atoms[0][1].line, atoms[0][1].col)
+    if ts.accept("<-") and not ts.at("."):
+        atoms += ts.separated(lambda: _rule_atom(ts))
+    ts.expect(".")
+    return atoms
 
 
 def parse_prop_system(text: str) -> PropSystem:
     """Parse the system file format shown in the module docstring."""
-    sc = _Scanner(text)
-    order: list[str] = []
-    letters: dict[str, list[str]] = {}
-    axiom_texts: dict[str, list[str]] = {}
-    rule_texts: list[str] = []
-    while not sc.at_end():
-        keyword = sc.name("'context' or 'rule'")
-        if keyword == "context":
-            ctx = sc.name("context name")
-            if ctx in letters:
-                raise sc.error(f"duplicate context {ctx!r}")
-            order.append(ctx)
-            letters[ctx] = []
-            axiom_texts[ctx] = []
-            sc.literal("{")
-            while not sc.tries("}"):
-                entry = sc.name("'letters', 'axiom' or '}'")
-                if entry == "letters":
-                    while True:
-                        p = sc.name("letter")
-                        if p in letters[ctx]:
-                            raise sc.error(f"duplicate letter {p!r} in context {ctx}")
-                        letters[ctx].append(p)
-                        if not sc.tries(","):
-                            break
-                    sc.literal(";")
-                elif entry == "axiom":
-                    axiom_texts[ctx].append(sc.until(";", "axiom"))
-                else:
-                    raise sc.error(f"unknown context entry {entry!r}")
-        elif keyword == "rule":
-            rule_texts.append(sc.until(".", "rule"))
-        else:
-            raise sc.error(f"unknown declaration {keyword!r}")
-    if not order:
-        raise PropFormatError("system declares no contexts")
+    try:
+        return _parse_prop_system(TokenStream(tokenize(text)))
+    except SyntaxError_ as exc:
+        raise PropFormatError(f"line {exc.line}: {exc.message}") from exc
 
-    # reuse the theory machinery for axiom parsing: letter = 0-ary predicate
-    lines = ["index " + ", ".join(order)]
-    for ctx in order:
-        preds = ", ".join(f"{p}/0" for p in letters[ctx])
-        lines.append("signature %s { %s }" % (ctx, f"pred {preds};" if preds else ""))
-    theory = parse_theory("\n".join(lines))
 
+def _parse_prop_system(ts: TokenStream) -> PropSystem:
+    theory = Theory()
     axioms: dict[str, tuple[Formula, ...]] = {}
-    for ctx in order:
-        parsed = []
-        for raw in axiom_texts[ctx]:
-            try:
-                f = parse_formula(theory, ctx, raw)
-            except SyntaxError_ as exc:
-                raise PropFormatError(f"axiom {raw.strip()!r}: {exc}") from exc
-            _assert_propositional(f)
-            parsed.append(f)
-        axioms[ctx] = tuple(parsed)
+    parsed_rules: list[list[tuple[bool, Token, Token]]] = []
+    while not ts.at("eof"):
+        if ts.accept("ident", "context"):
+            _parse_context(ts, theory, axioms)
+        elif ts.accept("ident", "rule"):
+            parsed_rules.append(_parse_rule(ts))
+        else:
+            raise ts.error(f"expected 'context' or 'rule', found {ts.peek().text!r}")
+    if not theory.indices:
+        raise PropFormatError("system declares no contexts")
+    letters = {ctx: tuple(p for p, _ in theory.signatures[ctx].preds) for ctx in theory.indices}
 
+    # checked last: a rule may name a context declared after it
     rules = []
-    for raw in rule_texts:
-        head_raw, arrow, body_raw = raw.partition("<-")
-        negative, ctx, letter = _parse_rule_atom(head_raw, sc)
-        if negative:
-            raise sc.error("rule heads cannot be not(...) atoms")
-        atoms = []
-        if arrow and body_raw.strip():
-            atoms = [_parse_rule_atom(part, sc) for part in body_raw.split(",")]
-        for _, c, p in [(False, ctx, letter)] + atoms:
-            if c not in letters:
-                raise PropFormatError(f"rule {raw.strip()!r}: unknown context {c!r}")
-            if p not in letters[c]:
-                raise PropFormatError(
-                    f"rule {raw.strip()!r}: letter {p!r} not declared in context {c}"
-                )
+    for atoms in parsed_rules:
+        for _, c, p in atoms:
+            if c.text not in letters:
+                raise SyntaxError_(f"unknown context {c.text!r}", c.line, c.col)
+            if p.text not in letters[c.text]:
+                raise SyntaxError_(f"letter {p.text!r} not declared in context {c.text}", p.line, p.col)
+        (_, ctx, letter), body = atoms[0], atoms[1:]
         rules.append(
             McsRule(
-                head=(ctx, letter),
-                positive=tuple((c, p) for neg, c, p in atoms if not neg),
-                negative=tuple((c, p) for neg, c, p in atoms if neg),
+                head=(ctx.text, letter.text),
+                positive=tuple((c.text, p.text) for neg, c, p in body if not neg),
+                negative=tuple((c.text, p.text) for neg, c, p in body if neg),
             )
         )
-
-    return PropSystem(
-        contexts=tuple(order),
-        letters={c: tuple(ps) for c, ps in letters.items()},
-        axioms=axioms,
-        rules=tuple(rules),
-    )
+    return PropSystem(contexts=theory.indices, letters=letters, axioms=axioms, rules=tuple(rules))
 
 
 def load_prop_system(path) -> PropSystem:

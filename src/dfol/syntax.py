@@ -20,9 +20,11 @@ right-associative binaries; `false` is falsum; `#` starts a line comment.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import re
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from operator import is_not
+from typing import NamedTuple, TypeVar
 
 __all__ = [
     "Var",
@@ -435,57 +437,48 @@ _PUNCT = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "number" | punctuation string | "eof"
     text: str
     line: int
     col: int
 
 
+# one alternative per token class; punctuation is tried in _PUNCT order, so
+# `==>` wins over `=`, and any other character is an error
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|(?P<comment>#[^\n]*)|(?P<ident>[^\W\d]\w*)|(?P<number>[0-9]+)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + r")|(?P<bad>.)"
+)
+
+
 def tokenize(text: str) -> list[Token]:
-    """Split source text into tokens; `#` starts a comment to end of line."""
+    """Split source text into tokens; `#` starts a comment to end of line.
+    Columns count characters from 1, and a comment takes up none, so the
+    eof token after a trailing comment sits where the comment starts."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "comment":
             continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+            end = line_start
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
+        end = m.end()
+        if kind is None:
             continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise SyntaxError_(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        word = m.group()
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise SyntaxError_(f"unexpected character {word!r}", line, col)
+        toks.append(Token(word if kind == "punct" else kind, word, line, col))
+    toks.append(Token("eof", "", line, end - line_start + 1))
     return toks
+
+
+_T = TypeVar("_T")
 
 
 class TokenStream:
@@ -524,6 +517,18 @@ class TokenStream:
             )
         return self.next()
 
+    def separated(self, item: Callable[[], _T]) -> list[_T]:
+        """item(), then item() again after each `,`."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
+
+    def expect_end(self, kind: str) -> None:
+        """A whole formula or file has been read up to a token of `kind`."""
+        if not self.at(kind):
+            raise self.error(f"trailing input {self.peek().text!r}")
+
     def error(self, message: str) -> SyntaxError_:
         tok = self.peek()
         return SyntaxError_(message, tok.line, tok.col)
@@ -554,7 +559,6 @@ class _FormulaParser:
         self.index = index
         self.sig = theory.signatures[index]
         self.ts = ts
-        self.bound: list[str] = []
 
     # formula := quantified | implication
     def formula(self) -> Formula:
@@ -570,11 +574,7 @@ class _FormulaParser:
         if self.ts.at("^>") or self.ts.at("^<"):
             raise SyntaxError_("quantified arrow variable", var.line, var.col)
         self.ts.expect(".")
-        self.bound.append(var.text)
-        try:
-            body = self.formula()
-        finally:
-            self.bound.pop()
+        body = self.formula()
         return Forall(var.text, body) if kw.text == "forall" else Exists(var.text, body)
 
     def implication(self) -> Formula:
@@ -610,6 +610,10 @@ class _FormulaParser:
             inner = self.formula()
             self.ts.expect(")")
             return inner
+        return self.relation()
+
+    def relation(self) -> Formula:
+        """A predicate atom or an equation."""
         tok = self.ts.peek()
         if tok.kind == "ident" and self.sig.pred_arity(tok.text) is not None:
             return self.predicate()
@@ -629,11 +633,8 @@ class _FormulaParser:
         arity = self.sig.pred_arity(tok.text)
         args: tuple[Term, ...] = ()
         if self.ts.accept("("):
-            parts = [self.term()]
-            while self.ts.accept(","):
-                parts.append(self.term())
+            args = tuple(self.ts.separated(self.term))
             self.ts.expect(")")
-            args = tuple(parts)
         if len(args) != arity:
             raise SyntaxError_(
                 f"predicate {tok.text} expects {arity} arguments, got {len(args)}",
@@ -650,9 +651,7 @@ class _FormulaParser:
         if self.sig.func_arity(name) is not None:
             arity = self.sig.func_arity(name)
             self.ts.expect("(")
-            parts = [self.term()]
-            while self.ts.accept(","):
-                parts.append(self.term())
+            parts = self.ts.separated(self.term)
             self.ts.expect(")")
             if len(parts) != arity:
                 raise SyntaxError_(
@@ -681,9 +680,6 @@ class _FormulaParser:
         label = None
         if self.ts.accept("@"):
             label = _name_token(self.ts, "a link label").text
-        if name in self.bound:
-            # forall x. p(x^>j) is fine: x^>j is a different variable from x
-            pass
         return ArrowVar(name, arrow.text[1], foreign, label)
 
 
@@ -697,57 +693,42 @@ def _whole_formula(parser) -> Formula:
         raise parser.ts.error("formula nested too deeply") from None
 
 
-def _parse_label(ts: TokenStream) -> str:
-    tok = _name_token(ts, "an index label")
-    ts.expect(":")
-    return tok.text
-
-
 def parse_formula(theory: Theory, index: str, text: str) -> Formula:
     """Parse an unlabeled formula in the language of `index`."""
     ts = TokenStream(tokenize(text))
     f = _whole_formula(_FormulaParser(theory, index, ts))
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise SyntaxError_(f"trailing input {tok.text!r}", tok.line, tok.col)
+    ts.expect_end("eof")
     return f
 
 
 def parse_labeled_formula(theory: Theory, text: str) -> LabeledFormula:
     """Parse `i: <formula>`."""
     ts = TokenStream(tokenize(text))
-    index = _parse_label(ts)
-    if index not in theory.signatures:
-        raise SyntaxError_(f"undeclared index {index!r}", 1, 1)
-    f = _whole_formula(_FormulaParser(theory, index, ts))
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise SyntaxError_(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return LabeledFormula(index, f)
+    lf = _labeled_formula(theory, ts)
+    ts.expect_end("eof")
+    return lf
+
+
+def _labeled_formula(theory: Theory, ts: TokenStream) -> LabeledFormula:
+    """`i: <formula>`, in the language of index i."""
+    label = _name_token(ts, "an index label")
+    ts.expect(":")
+    if label.text not in theory.signatures:
+        raise SyntaxError_(f"undeclared index {label.text!r}", label.line, label.col)
+    return LabeledFormula(label.text, _whole_formula(_FormulaParser(theory, label.text, ts)))
 
 
 def _parse_bridge_rule(theory: Theory, ts: TokenStream, origin: str | None = None) -> BridgeRule:
-    premises: list[LabeledFormula] = []
-    if not ts.at("==>"):
-        while True:
-            index = _parse_label(ts)
-            f = _whole_formula(_FormulaParser(theory, index, ts))
-            premises.append(LabeledFormula(index, f))
-            if not ts.accept(","):
-                break
+    premises = [] if ts.at("==>") else ts.separated(lambda: _labeled_formula(theory, ts))
     ts.expect("==>")
-    index = _parse_label(ts)
-    f = _whole_formula(_FormulaParser(theory, index, ts))
-    return BridgeRule(tuple(premises), LabeledFormula(index, f), origin)
+    return BridgeRule(tuple(premises), _labeled_formula(theory, ts), origin)
 
 
 def parse_bridge_rule_text(theory: Theory, text: str) -> BridgeRule:
     """Parse a bare bridge rule `i1: f1, ... ==> j: g` against a theory."""
     ts = TokenStream(tokenize(text))
     rule = _parse_bridge_rule(theory, ts)
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise SyntaxError_(f"trailing input {tok.text!r}", tok.line, tok.col)
+    ts.expect_end("eof")
     return rule
 
 
@@ -779,10 +760,7 @@ def parse_theory(text: str) -> Theory:
             )
         ts.next()
         if tok.text == "index":
-            names = [_name_token(ts, "an index name").text]
-            while ts.accept(","):
-                names.append(_name_token(ts, "an index name").text)
-            for name in names:
+            for name in ts.separated(lambda: _name_token(ts, "an index name").text):
                 if name in theory.signatures:
                     raise ts.error(f"duplicate index {name!r}")
                 theory.indices += (name,)
@@ -793,11 +771,7 @@ def parse_theory(text: str) -> Theory:
                 raise ts.error(f"undeclared index {index!r}")
             theory.signatures[index] = _parse_signature_block(ts, theory.signatures[index])
         elif tok.text == "axiom":
-            index = _parse_label(ts)
-            if index not in theory.signatures:
-                raise ts.error(f"undeclared index {index!r}")
-            f = _whole_formula(_FormulaParser(theory, index, ts))
-            theory.axioms += (LabeledFormula(index, f),)
+            theory.axioms += (_labeled_formula(theory, ts),)
         elif tok.text == "bridge":
             declared_rules.append(_parse_bridge_rule(theory, ts))
         elif tok.text == "property":

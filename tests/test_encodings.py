@@ -3,14 +3,24 @@ reach every connective of the shared formula traversal."""
 
 from __future__ import annotations
 
+import pytest
+
 from dfol import (
+    And,
     Atom,
+    BoxF,
     Const,
     Falsum,
+    Implies,
+    IstF,
     Not,
+    Or,
     RelationProperty,
+    SyntaxError_,
+    Var,
     bridge_rules_for_property,
     encode_text,
+    parse_qlc,
     parse_qml,
     parse_theory,
     qml_depth,
@@ -85,3 +95,47 @@ def test_qlc_ist_of_true():
     conclusions = [r.conclusion for r in enc.theory.rules if r.conclusion.index == "k2"]
     assert any(lf.formula == Not(Falsum()) for lf in conclusions)
     assert reparsed_rule_count(enc) == 2 + QLC_FIXED_RULES
+
+
+# ---------------------------------------------------------------------------
+# qml and qlc formula trees, which the fresh names are hashed from
+# ---------------------------------------------------------------------------
+
+PA = Atom("p", (Const("a"),))
+
+
+def qml_formula(body: str):
+    (f,) = parse_qml(QML_SIG + f"formula {body}\n").formulas
+    return f
+
+
+def qlc_formula(body: str):
+    ((_, f),) = parse_qlc(QLC_HEADER + f"formula k1: {body}\n").formulas
+    return f
+
+
+@pytest.mark.parametrize("parse", [qml_formula, qlc_formula], ids=["qml", "qlc"])
+def test_modal_chains_nest_to_the_left(parse):
+    assert parse("p(a) & p(a) & p(a)") == And(And(PA, PA), PA)
+    assert parse("p(a) | p(a) | p(a)") == Or(Or(PA, PA), PA)
+    assert parse("p(a) | p(a) & p(a) -> p(a) -> p(a)") == Implies(
+        Or(PA, And(PA, PA)), Implies(PA, PA)
+    )
+    assert parse("true") == Not(Falsum())
+
+
+def test_qml_box_takes_bindings_or_backtracks_to_a_plain_box():
+    assert qml_formula("box(x = a) p(x)") == BoxF(Atom("p", (Var("x"),)), (("x", Const("a")),))
+    assert qml_formula("box (p(a))") == BoxF(PA)
+
+
+def test_qlc_reads_ist_and_rejects_box():
+    assert qlc_formula("ist(k2, p(a)) & ~ist(k1, true)") == And(
+        IstF("k2", PA), Not(IstF("k1", Not(Falsum())))
+    )
+    with pytest.raises(SyntaxError_, match="box is not part of this dialect"):
+        qlc_formula("box p(a)")
+    f, depth = qlc_formula(" & ".join(["p(a)"] * 1000)), 0
+    while isinstance(f, And):
+        f, depth = f.lhs, depth + 1
+    assert (f, depth) == (PA, 999)

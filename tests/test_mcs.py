@@ -82,6 +82,45 @@ def test_parse_rejects(text):
         parse_prop_system(text)
 
 
+@pytest.mark.parametrize(
+    "text", ["context 1 { letters false; }", "context forall { letters p; }"]
+)
+def test_keywords_as_names_are_format_errors(text):
+    with pytest.raises(PropFormatError):
+        parse_prop_system(text)
+
+
+def test_format_errors_name_the_line_of_the_file():
+    bad_rule = (
+        "context 1 { letters p; }\n"
+        "rule 1:p <- 1.\n"
+        "context 2 { letters q; }\n"
+        "rule 2:q.\n"
+        "# the end\n"
+    )
+    with pytest.raises(PropFormatError, match="^line 2: "):
+        parse_prop_system(bad_rule)
+    bad_axiom = "context 1 {\n  letters p;\n  axiom p & ;\n}\n"
+    with pytest.raises(PropFormatError, match="^line 3: "):
+        parse_prop_system(bad_axiom)
+
+
+def test_rule_atoms_are_tokens():
+    spaced = parse_prop_system("context 1 { letters p; }\nrule 1 : p <- not ( 1 : p ).")
+    assert spaced == parse_prop_system("context 1 { letters p; }\nrule 1:p <- not(1:p).")
+    assert spaced.rules == (McsRule(head=("1", "p"), negative=(("1", "p"),)),)
+
+
+def test_not_names_a_context_and_letters_may_follow_an_axiom():
+    S = parse_prop_system(
+        "context 1 { axiom p; letters p; }\n"
+        "context not { letters q; }\n"
+        "rule not:q <- 1:p.\n"
+    )
+    assert S.axioms["1"] == (Atom("p"),)
+    assert S.rules == (McsRule(head=("not", "q"), positive=(("1", "p"),)),)
+
+
 # ---------------------------------------------------------------------------
 # The worked two-context example
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import string
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dfol.calculus import _match, _match_hole, _match_renaming, _rewrite_ok
@@ -26,7 +28,9 @@ from dfol.syntax import (
     Or,
     Signature,
     SyntaxError_,
+    Token,
     Var,
+    _PUNCT,
     arrow_vars,
     children,
     classify_variables,
@@ -40,6 +44,7 @@ from dfol.syntax import (
     render_formula,
     render_theory,
     substitute,
+    tokenize,
 )
 
 TWO_INDEX = parse_theory(
@@ -226,6 +231,89 @@ def test_comments_and_separators():
 def test_numbers_are_not_terms():
     with pytest.raises(SyntaxError_):
         parse_formula(TWO_INDEX, "1", "x = 1")
+
+
+def test_non_ascii_digit_arity_is_a_syntax_error():
+    # '²' is a digit to str.isdigit but not an ASCII number token
+    with pytest.raises(SyntaxError_):
+        parse_theory("index 1\nsignature 1 { pred p/²; }")
+
+
+# ---------------------------------------------------------------------------
+# tokenizer
+# ---------------------------------------------------------------------------
+
+
+def _reference_tokenize(text: str) -> list[Token]:
+    """A character-at-a-time tokenizer: on ASCII text `tokenize` must
+    produce the same tokens and errors."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if c in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(Token("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(Token("number", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                toks.append(Token(p, p, line, col))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise SyntaxError_(f"unexpected character {c!r}", line, col)
+    toks.append(Token("eof", "", line, col))
+    return toks
+
+
+def _lexed(tokenizer, text: str):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenizer(text)]
+    except SyntaxError_ as exc:
+        return str(exc)
+
+
+_LEXEMES = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
+    st.from_regex(r"[0-9]{1,3}", fullmatch=True),
+    st.sampled_from(_PUNCT),
+    st.sampled_from([" ", "\t", "\r", "\n", "\n\n", "  "]),
+    st.from_regex(r"#[ -~]{0,8}", fullmatch=True),
+    st.sampled_from(["$", "^", "<", "!", "?", "'", "\\", "\x0b", "=="]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(_LEXEMES, max_size=30).map("".join), st.text(string.printable, max_size=30)))
+@example("p(x)  # trailing comment")
+@example("index 1\n  # only a comment")
+@example("a $")
+def test_tokenize_matches_the_reference_tokenizer(text):
+    assert _lexed(tokenize, text) == _lexed(_reference_tokenize, text)
 
 
 # ---------------------------------------------------------------------------
