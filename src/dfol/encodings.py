@@ -1,12 +1,20 @@
 """Translations of five contextual formalisms into bridge-rule theories.
 
-Each encoder reads a small dialect file and emits a standard theory file:
-the result carries the rendered text, the parsed `Theory` (re-parsing the
-text is how every emitted rule is validated against the auto-extended
-signatures), and a name map listing every freshly invented symbol.  Fresh
-names are content-addressed (an 8-hex digest of the named formula), so the
-same input always produces the same output and distinct inputs produce
-distinct theories.
+Each encoder reads a small dialect file and builds a standard `Theory`:
+signatures, axioms, bridge rules and relation-property tags, the tags
+expanded by the helper `parse_theory` uses.  The result carries it, its
+text (a comment header with the dialect, every fresh symbol and each input
+formula's source line, then `render_theory`), and a name map listing every
+freshly invented symbol.  Fresh names are content-addressed (an 8-hex
+digest of the named formula), so the same input always produces the same
+output and distinct inputs produce distinct theories.
+
+The dialect parsers reject at the user's line and column what the core
+parser would: a function or predicate name as a term, a numeric concept
+or role, a name of two kinds in one block.  The encoders raise
+`EncodeError` for a name shared by two symbols of one generated signature
+(a qlc context named like a predicate) and for a generated variable named
+like a symbol of its index, which the text would read back as that symbol.
 
 Supported dialects
 ------------------
@@ -20,6 +28,7 @@ chain across an intermediate ontology::
     ontology 1 { concepts AcademicPaper; }
     ontology 2 { concepts AcademicPaper, Document;
                  axiom AcademicPaper subclassof Document; }
+    ontology 3 { concepts Document; }
     mapping 1: AcademicPaper into 2: AcademicPaper
     compose 1 2 3
 
@@ -32,6 +41,8 @@ equations `x = a` across the arrow.
 relations; subclass axioms whose right side is a link restriction become
 bridge rules over the labelled domain relations::
 
+    ontology 1 { concepts Person; }
+    ontology 2 { concepts House; }
     link Own from 1 to 2
     axiom 1: Person subclassof exists Own. House
 
@@ -77,14 +88,18 @@ context domains isomorphic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import groupby, permutations
 
 from .syntax import (
     And,
     App,
     ArrowVar,
     Atom,
+    BridgeRule,
     Const,
     Eq,
     Exists,
@@ -92,24 +107,29 @@ from .syntax import (
     Forall,
     Formula,
     Implies,
+    LabeledFormula,
     Not,
     Or,
+    RelationProperty,
     Signature,
     SyntaxError_,
     Term,
     Theory,
     TokenStream,
     Var,
+    _expand_properties,
     _FormulaParser,
     _name_token,
     _parse_signature_block,
     _whole_formula,
+    atom_terms,
     children,
     free_plain_vars,
-    parse_theory,
     rebuild,
     render_formula,
+    render_theory,
     substitute,
+    subterms,
     tokenize,
 )
 
@@ -120,7 +140,7 @@ class EncodeError(Exception):
 
 @dataclass(frozen=True)
 class EncodedTheory:
-    """Output of one encoder run: theory file text plus its parse."""
+    """Output of one encoder run: the theory and its file text."""
 
     dialect: str
     text: str
@@ -135,44 +155,54 @@ def _hash8(text: str) -> str:
     return hashlib.md5(text.encode("utf8")).hexdigest()[:8]
 
 
-def _assemble(dialect: str, names: tuple[tuple[str, str], ...], lines: list[str]) -> EncodedTheory:
-    """Render, then parse the result back as the output validity check."""
+def _encoded(
+    dialect: str, theory: Theory, names: tuple[tuple[str, str], ...] = (), sources: Sequence[str] = ()
+) -> EncodedTheory:
+    """The result for a built theory; its text is a comment header (the
+    dialect, the fresh names, each input formula's source line) and then
+    the rendered theory."""
+    _check_variables(theory)
     header = [f"# encoded {dialect} input"]
     header += [f"# {fresh} = {meaning}" for fresh, meaning in names]
-    text = "\n".join(header + lines) + "\n"
-    theory = parse_theory(text)
-    return EncodedTheory(dialect, text, theory, names)
+    header += [f"# {src}" for src in sources]
+    return EncodedTheory(dialect, "\n".join(header) + "\n" + render_theory(theory), theory, names)
 
 
-def _sig_line(
+def _check_variables(theory: Theory) -> None:
+    """A variable of a written formula named like a symbol of its index
+    would read back as that symbol; property-tag rules are not written."""
+    symbols = {i: theory.signatures[i].symbol_names() for i in theory.indices}
+    written = [lf for r in theory.rules if r.origin is None for lf in (*r.premises, r.conclusion)]
+    for lf in (*theory.axioms, *written):
+        stack = [lf.formula]
+        while stack:
+            g = stack.pop()
+            stack.extend(children(g))
+            for t in subterms(atom_terms(g)):
+                name = t.name if type(t) is Var else t.base if type(t) is ArrowVar else None
+                if name in symbols[lf.index]:
+                    raise EncodeError(f"variable {name} is named like a symbol of index {lf.index}")
+
+
+def _signature(
     index: str,
-    consts: list[str],
-    funcs: list[tuple[str, int]],
-    preds: list[tuple[str, int]],
-    complete_preds: tuple[tuple[str, int], ...] = (),
-) -> str:
-    parts: list[str] = []
-    if consts:
-        parts.append("const " + ", ".join(consts) + ";")
-    if funcs:
-        parts.append("func " + ", ".join(f"{f}/{n}" for f, n in funcs) + ";")
-    if preds:
-        parts.append("pred " + ", ".join(f"{p}/{n}" for p, n in preds) + ";")
-    if complete_preds:
-        parts.append("complete pred " + ", ".join(f"{p}/{n}" for p, n in complete_preds) + ";")
-    return f"signature {index} {{ " + " ".join(parts) + " }"
+    consts: Iterable[str],
+    funcs: Iterable[tuple[str, int]],
+    preds: Iterable[tuple[str, int]],
+    complete: frozenset[tuple[str, str]] = frozenset(),
+) -> Signature:
+    """A generated signature.  Repeats of one symbol collapse into one
+    entry; a name shared by two different symbols is an EncodeError."""
+    consts, funcs, preds = (tuple(dict.fromkeys(s)) for s in (consts, funcs, preds))
+    names = [*consts, *(f for f, _ in funcs), *(p for p, _ in preds)]
+    if len(names) != len(set(names)):
+        dup = sorted({n for n in names if names.count(n) > 1})
+        raise EncodeError(f"{', '.join(dup)} names two different symbols at index {index}")
+    return Signature(consts, funcs, preds, complete)
 
 
-def _axiom_line(index: str, f: Formula) -> str:
-    return f"axiom {index}: {render_formula(f)}"
-
-
-def _bridge_line(premises: list[tuple[str, Formula]], conclusion: tuple[str, Formula]) -> str:
-    head = ", ".join(f"{i}: {render_formula(f)}" for i, f in premises)
-    cidx, cf = conclusion
-    if head:
-        return f"bridge {head} ==> {cidx}: {render_formula(cf)}"
-    return f"bridge ==> {cidx}: {render_formula(cf)}"
+def _bridge(premises: Iterable[tuple[str, Formula]], conclusion: tuple[str, Formula]) -> BridgeRule:
+    return BridgeRule(tuple(LabeledFormula(i, f) for i, f in premises), LabeledFormula(*conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +316,21 @@ class OntologyBlock:
         return None
 
 
-def _parse_name_list(ts: TokenStream, what: str) -> tuple[str, ...]:
-    names = ts.separated(lambda: _name_token(ts, what).text)
+def _parse_name_list(ts: TokenStream, kind: str, kinds: dict[str, str]) -> tuple[str, ...]:
+    """`a, b;` declaring names of one kind in a block whose names so far
+    map to their kinds; a numeric concept or role name (the theory's
+    predicates are identifiers) and a name of two kinds are errors."""
+
+    def name() -> str:
+        tok = _name_token(ts, f"an {kind} name" if kind == "individual" else f"a {kind} name")
+        if tok.kind == "number" and kind != "individual":
+            raise SyntaxError_(f"{kind} name {tok.text} must be an identifier", tok.line, tok.col)
+        if kinds.setdefault(tok.text, kind) != kind:
+            message = f"{tok.text} declared both as {kinds[tok.text]} and as {kind}"
+            raise SyntaxError_(message, tok.line, tok.col)
+        return tok.text
+
+    names = ts.separated(name)
     ts.expect(";")
     return tuple(names)
 
@@ -299,13 +342,14 @@ def _parse_block(ts: TokenStream, *, allow_roles: bool = True) -> OntologyBlock:
     roles: tuple[str, ...] = ()
     individuals: tuple[str, ...] = ()
     axioms: list[tuple[ConceptExpr, ConceptExpr]] = []
+    kinds: dict[str, str] = {}
     while not ts.accept("}"):
         if ts.accept("ident", "concepts"):
-            concepts += _parse_name_list(ts, "a concept name")
+            concepts += _parse_name_list(ts, "concept", kinds)
         elif allow_roles and ts.accept("ident", "roles"):
-            roles += _parse_name_list(ts, "a role name")
+            roles += _parse_name_list(ts, "role", kinds)
         elif allow_roles and ts.accept("ident", "individuals"):
-            individuals += _parse_name_list(ts, "an individual name")
+            individuals += _parse_name_list(ts, "individual", kinds)
         elif ts.accept("ident", "axiom"):
             lhs = _parse_concept(ts)
             ts.expect("ident", "subclassof")
@@ -323,21 +367,22 @@ def _check_concept(c: ConceptExpr, block: OntologyBlock) -> None:
             raise EncodeError(f"unknown concept {n!r} in ontology {block.name}")
 
 
-def _block_sig_line(block: OntologyBlock) -> str:
-    preds = [(c, 1) for c in block.concepts] + [(r, 2) for r in block.roles]
-    return _sig_line(block.name, list(block.individuals), [], preds)
-
-
-def _block_axiom_lines(block: OntologyBlock) -> list[str]:
-    lines = []
-    for lhs, rhs in block.axioms:
-        _check_concept(lhs, block)
-        _check_concept(rhs, block)
-        x = Var("x")
-        lines.append(
-            _axiom_line(block.name, Forall("x", Implies(concept_formula(lhs, x), concept_formula(rhs, x))))
-        )
-    return lines
+def _blocks_theory(blocks: Sequence[OntologyBlock], consts=None, preds=None) -> Theory:
+    """Indices, signatures and subclass axioms of ontology or package
+    blocks; `consts` and `preds` map a block name to symbols it gains."""
+    consts, preds = consts or {}, preds or {}
+    theory = Theory(tuple(b.name for b in blocks))
+    x = Var("x")
+    for b in blocks:
+        arities = (*((c, 1) for c in b.concepts), *((r, 2) for r in b.roles), *preds.get(b.name, ()))
+        individuals = (*b.individuals, *consts.get(b.name, ()))
+        theory.signatures[b.name] = _signature(b.name, individuals, (), arities)
+        for lhs, rhs in b.axioms:
+            _check_concept(lhs, b)
+            _check_concept(rhs, b)
+            body = Implies(concept_formula(lhs, x), concept_formula(rhs, x))
+            theory.axioms += (LabeledFormula(b.name, Forall("x", body)),)
+    return theory
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +437,18 @@ def parse_ddl(text: str) -> DdlSpec:
             ts.expect(":")
             dst = _parse_concept(ts)
             mappings.append(DdlMapping(direction, "", src_index, src, dst_index, dst))
-        elif ts.accept("ident", "compose"):
-            i = _name_token(ts, "an ontology name").text
-            j = _name_token(ts, "an ontology name").text
-            k = _name_token(ts, "an ontology name").text
-            compositions.append((i, j, k))
+        elif ts.at("ident", "compose"):
+            tok = ts.next()
+            triple = tuple(_name_token(ts, "an ontology name").text for _ in range(3))
+            if len(set(triple)) < 3:
+                raise SyntaxError_("compose needs three distinct ontologies", tok.line, tok.col)
+            compositions.append(triple)
         else:
             raise ts.error("expected ontology, mapping, or compose")
     spec = DdlSpec(tuple(blocks), tuple(mappings), tuple(compositions))
+    for triple in compositions:
+        for name in triple:
+            spec.ontology(name)
     return DdlSpec(spec.ontologies, tuple(_resolve_mapping(spec, m) for m in spec.mappings), spec.compositions)
 
 
@@ -426,7 +475,7 @@ def _resolve_mapping(spec: DdlSpec, m: DdlMapping) -> DdlMapping:
     return DdlMapping(m.direction, entity, m.src_index, m.src.name, m.dst_index, m.dst.name)
 
 
-def ddl_mapping_rule(m: DdlMapping) -> str:
+def ddl_mapping_rule(m: DdlMapping) -> BridgeRule:
     """One bridge rule per mapping; `onto` swaps premise and conclusion."""
     i, j = m.src_index, m.dst_index
     if m.entity == "concept":
@@ -440,21 +489,14 @@ def ddl_mapping_rule(m: DdlMapping) -> str:
         src_f = Eq(ArrowVar("x", ">", j), Const(str(m.src)))
         dst_f = Eq(Var("x"), Const(str(m.dst)))
     if m.direction == "into":
-        return _bridge_line([(i, src_f)], (j, dst_f))
-    return _bridge_line([(j, dst_f)], (i, src_f))
+        return _bridge([(i, src_f)], (j, dst_f))
+    return _bridge([(j, dst_f)], (i, src_f))
 
 
 def encode_ddl(spec: DdlSpec) -> EncodedTheory:
-    lines = ["index " + ", ".join(b.name for b in spec.ontologies)]
-    for block in spec.ontologies:
-        lines.append(_block_sig_line(block))
-    for block in spec.ontologies:
-        lines.extend(_block_axiom_lines(block))
-    for m in spec.mappings:
-        lines.append(ddl_mapping_rule(m))
-    for i, j, k in spec.compositions:
-        lines.append(f"property com {i} {j} {k}")
-    return _assemble("ddl", (), lines)
+    rules = [ddl_mapping_rule(m) for m in spec.mappings]
+    properties = [RelationProperty("com", c) for c in spec.compositions]
+    return _encoded("ddl", _expand_properties(_blocks_theory(spec.ontologies), rules, properties))
 
 
 # ---------------------------------------------------------------------------
@@ -562,18 +604,18 @@ def parse_econn(text: str) -> EconnSpec:
     return spec
 
 
-def econn_axiom_rule(spec: EconnSpec, ax: EconnAxiom) -> str:
+def econn_axiom_rule(spec: EconnSpec, ax: EconnAxiom) -> BridgeRule:
     """Bridge rule over the labelled relation r_ij@E for one link axiom."""
     link = spec.link(ax.link)
     i, j, label = link.src, link.dst, link.name
     if ax.restriction == "exists":
         prem = concept_formula(ax.lhs, Var("x"))
         conc = concept_formula(ax.rhs, ArrowVar("x", "<", i, label))
-        return _bridge_line([(i, prem)], (j, conc))
+        return _bridge([(i, prem)], (j, conc))
     if ax.restriction == "all":
         prem = concept_formula(ax.lhs, ArrowVar("x", ">", j, label))
         conc = concept_formula(ax.rhs, Var("x"))
-        return _bridge_line([(i, prem)], (j, conc))
+        return _bridge([(i, prem)], (j, conc))
     if ax.restriction == "atleast":
         # n premise copies; any n elements with >= n successors each admit
         # pairwise-distinct representatives, so the sweep stays sound.
@@ -587,7 +629,7 @@ def econn_axiom_rule(spec: EconnSpec, ax: EconnAxiom) -> str:
         conc = conjuncts[0]
         for extra in conjuncts[1:]:
             conc = And(conc, extra)
-        return _bridge_line(premises, (j, conc))
+        return _bridge(premises, (j, conc))
     # atmost: sweep n+1 successors of one element; two must coincide.
     names = [f"x{k}" for k in range(1, ax.bound + 2)]
     premises = [(i, concept_formula(ax.lhs, Var("x")))]
@@ -602,18 +644,12 @@ def econn_axiom_rule(spec: EconnSpec, ax: EconnAxiom) -> str:
     conc = disjuncts[0]
     for extra in disjuncts[1:]:
         conc = Or(conc, extra)
-    return _bridge_line(premises, (j, conc))
+    return _bridge(premises, (j, conc))
 
 
 def encode_econn(spec: EconnSpec) -> EncodedTheory:
-    lines = ["index " + ", ".join(b.name for b in spec.ontologies)]
-    for block in spec.ontologies:
-        lines.append(_block_sig_line(block))
-    for block in spec.ontologies:
-        lines.extend(_block_axiom_lines(block))
-    for ax in spec.axioms:
-        lines.append(econn_axiom_rule(spec, ax))
-    return _assemble("econn", (), lines)
+    rules = [econn_axiom_rule(spec, ax) for ax in spec.axioms]
+    return _encoded("econn", _expand_properties(_blocks_theory(spec.ontologies), rules, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -676,51 +712,37 @@ def parse_pdl(text: str) -> PdlSpec:
     return PdlSpec(tuple(blocks), tuple(resolved))
 
 
-def pdl_import_rules(imp: PdlImport) -> list[str]:
+def pdl_import_rules(imp: PdlImport) -> list[BridgeRule]:
     """Importing rule plus its converse (individuals import one way)."""
     i, j, t = imp.src, imp.dst, imp.term
     if imp.kind == "individual":
-        return [_bridge_line([(i, Eq(Var("x"), Const(t)))], (j, Eq(ArrowVar("x", ">", i), Const(t))))]
+        return [_bridge([(i, Eq(Var("x"), Const(t)))], (j, Eq(ArrowVar("x", ">", i), Const(t))))]
     if imp.kind == "concept":
         there = Atom(t, (ArrowVar("x", ">", j),))
         here = Atom(t, (Var("x"),))
     else:
         there = Atom(t, (ArrowVar("x", ">", j), ArrowVar("y", ">", j)))
         here = Atom(t, (Var("x"), Var("y")))
-    return [_bridge_line([(i, there)], (j, here)), _bridge_line([(j, here)], (i, there))]
+    return [_bridge([(i, there)], (j, here)), _bridge([(j, here)], (i, there))]
 
 
 def encode_pdl(spec: PdlSpec) -> EncodedTheory:
-    lines = ["index " + ", ".join(b.name for b in spec.packages)]
-    # Imported symbols join the target signature so both rule sides parse.
-    extra_preds: dict[str, list[tuple[str, int]]] = {b.name: [] for b in spec.packages}
-    extra_consts: dict[str, list[str]] = {b.name: [] for b in spec.packages}
+    # imported symbols join the target's signature, the language of the rules' target side
+    consts: dict[str, list[str]] = {}
+    preds: dict[str, list[tuple[str, int]]] = {}
     for imp in spec.imports:
-        if imp.kind == "concept":
-            extra_preds[imp.dst].append((imp.term, 1))
-        elif imp.kind == "role":
-            extra_preds[imp.dst].append((imp.term, 2))
+        if imp.kind == "individual":
+            consts.setdefault(imp.dst, []).append(imp.term)
         else:
-            extra_consts[imp.dst].append(imp.term)
-    for block in spec.packages:
-        preds = [(c, 1) for c in block.concepts] + [(r, 2) for r in block.roles]
-        preds += extra_preds[block.name]
-        lines.append(_sig_line(block.name, list(block.individuals) + extra_consts[block.name], [], preds))
-    for block in spec.packages:
-        lines.extend(_block_axiom_lines(block))
-    for imp in spec.imports:
-        lines.extend(pdl_import_rules(imp))
-    pairs = []
-    for imp in spec.imports:
-        if (imp.src, imp.dst) not in pairs:
-            pairs.append((imp.src, imp.dst))
-    for i, j in pairs:
-        lines.append(f"property inj {i} {j}")
-    for i, j in pairs:
-        for j2, k in pairs:
-            if j2 == j and k != i:
-                lines.append(f"property com {i} {j} {k}")
-    return _assemble("pdl", (), lines)
+            preds.setdefault(imp.dst, []).append((imp.term, 1 if imp.kind == "concept" else 2))
+    rules = [rule for imp in spec.imports for rule in pdl_import_rules(imp)]
+    pairs = list(dict.fromkeys((imp.src, imp.dst) for imp in spec.imports))
+    properties = [RelationProperty("inj", pair) for pair in pairs]
+    properties += [
+        RelationProperty("com", (i, j, k)) for i, j in pairs for j2, k in pairs if j2 == j and k != i
+    ]
+    theory = _blocks_theory(spec.packages, consts, preds)
+    return _encoded("pdl", _expand_properties(theory, rules, properties))
 
 
 # ---------------------------------------------------------------------------
@@ -747,12 +769,11 @@ class QmlSpec:
 
 class _QmlParser(_FormulaParser):
     """The core formula parser over a bare signature, with `box`, de-re
-    bindings and `true`.  `&` and `|` chains nest to the left, and a name
-    applied to arguments reads as a function or a predicate by its arity."""
+    bindings and `true`.  `&` and `|` chains nest to the left.  The
+    signature has no indices, so an arrow variable is an error."""
 
     def __init__(self, sig: Signature, ts: TokenStream):
-        self.sig = sig
-        self.ts = ts
+        super().__init__(Theory(signatures={"": sig}), "", ts)
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
@@ -806,38 +827,20 @@ class _QmlParser(_FormulaParser):
         except SyntaxError_:
             return None
 
-    def relation(self) -> Formula:
-        lhs = self.term(as_atom_ok=True)
-        if self.ts.accept("="):
-            if isinstance(lhs, Atom):
-                raise self.ts.error("left side of = must be a term")
-            return Eq(lhs, self.term())
-        if isinstance(lhs, Atom):
-            return lhs
-        raise self.ts.error("expected an atom or equation")
-
-    def term(self, *, as_atom_ok: bool = False) -> Term:
-        ts = self.ts
-        name = _name_token(ts, "a term").text
-        if ts.accept("("):
-            args = ts.separated(self.term)
-            ts.expect(")")
-            if self.sig.func_arity(name) == len(args):
-                return App(name, tuple(args))
-            if as_atom_ok and self.sig.pred_arity(name) == len(args):
-                return Atom(name, tuple(args))  # type: ignore[return-value]
-            raise ts.error(f"{name}/{len(args)} is not a declared function or predicate")
-        if self.sig.is_const(name):
-            return Const(name)
-        if as_atom_ok and self.sig.pred_arity(name) == 0:
-            return Atom(name)  # type: ignore[return-value]
-        return Var(name)
-
 
 def qml_depth(f) -> int:
-    if isinstance(f, BoxF):
-        return 1 + qml_depth(f.body)
-    return max(map(qml_depth, children(f)), default=0)
+    """The deepest nesting of boxes in f, walked with an explicit stack as
+    `_check_matrix` walks: a long & chain parses without recursion."""
+    depth = 0
+    stack = [(f, 0)]
+    while stack:
+        g, d = stack.pop()
+        if isinstance(g, BoxF):
+            stack.append((g.body, d + 1))
+        else:
+            depth = max(depth, d)
+            stack.extend((h, d) for h in children(g))
+    return depth
 
 
 def parse_qml(text: str) -> QmlSpec:
@@ -907,62 +910,63 @@ def _arrowed(f: Formula, params: tuple[str, ...], direction: str, foreign: str) 
     return f
 
 
+def _nesting_checked(encode):
+    """encode, with input nested deeper than the interpreter's recursion
+    limit lets it translate reported as an EncodeError (see _whole_formula)."""
+
+    @functools.wraps(encode)
+    def checked(spec):
+        try:
+            return encode(spec)
+        except RecursionError:
+            raise EncodeError("formula nested too deeply to encode") from None
+
+    return checked
+
+
+@_nesting_checked
 def encode_qml(spec: QmlSpec) -> EncodedTheory:
     depth = max((qml_depth(f) for f in spec.formulas), default=0)
-    indices = [str(i) for i in range(depth + 1)]
+    indices = tuple(str(i) for i in range(depth + 1))
     registry = _BoxRegistry()
-    axioms = [qml_translate(f, depth, registry) for f in spec.formulas]
+    axioms = tuple(LabeledFormula(indices[-1], qml_translate(f, depth, registry)) for f in spec.formulas)
+    entries = [(i, name, params, body) for (i, name), (params, body) in sorted(registry.entries.items())]
+    names = tuple((name, f"box {render_formula(body)} (index {i})") for i, name, _, body in entries)
+    sig = spec.signature
+    boxes = {i: [(name, len(params)) for j, name, params, _ in entries if str(j) == i] for i in indices}
+    signatures = {i: _signature(i, sig.consts, sig.funcs, (*sig.preds, *boxes[i])) for i in indices}
 
-    base_consts = list(spec.signature.consts)
-    base_funcs = list(spec.signature.funcs)
-    base_preds = list(spec.signature.preds)
-    lines = ["index " + ", ".join(indices)]
-    names: list[tuple[str, str]] = []
-    per_index_preds: dict[str, list[tuple[str, int]]] = {i: [] for i in indices}
-    for (i, name), (params, body) in sorted(registry.entries.items()):
-        per_index_preds[str(i)].append((name, len(params)))
-        names.append((name, f"box {render_formula(body)} (index {i})"))
-    for i in indices:
-        lines.append(_sig_line(i, base_consts, base_funcs, base_preds + per_index_preds[i]))
-    for src, ax in zip(spec.sources, axioms):
-        lines.append(f"# {src}")
-        lines.append(_axiom_line(indices[-1], ax))
-
-    for (i, name), (params, body) in sorted(registry.entries.items()):
+    rules = []
+    for i, name, params, body in entries:
         below = str(i - 1)
         box_up = Atom(name, tuple(ArrowVar(v, ">", below) for v in params))
-        lines.append(_bridge_line([(str(i), box_up)], (below, body)))
+        rules.append(_bridge([(str(i), box_up)], (below, body)))
         box_plain = Atom(name, tuple(Var(v) for v in params))
-        lines.append(_bridge_line([(below, _arrowed(body, params, "<", str(i)))], (str(i), box_plain)))
-    by_index: dict[int, list[tuple[str, tuple[str, ...], Formula]]] = {}
-    for (i, name), (params, body) in sorted(registry.entries.items()):
-        by_index.setdefault(i, []).append((name, params, body))
-    for i, entries in sorted(by_index.items()):
-        below = str(i - 1)
-        for name_a, params_a, body_a in entries:
-            for name_b, params_b, body_b in entries:
-                if name_a == name_b:
-                    continue
-                joint = tuple(sorted(set(params_a) | set(params_b)))
-                prem = _arrowed(Implies(body_a, body_b), joint, "<", str(i))
-                conc = Implies(
-                    Atom(name_a, tuple(Var(v) for v in params_a)),
-                    Atom(name_b, tuple(Var(v) for v in params_b)),
-                )
-                lines.append(_bridge_line([(below, prem)], (str(i), conc)))
+        rules.append(_bridge([(below, _arrowed(body, params, "<", str(i)))], (str(i), box_plain)))
+    for i, at_i in groupby(entries, key=lambda e: e[0]):
+        for (_, name_a, params_a, body_a), (_, name_b, params_b, body_b) in permutations(at_i, 2):
+            joint = tuple(sorted(set(params_a) | set(params_b)))
+            prem = _arrowed(Implies(body_a, body_b), joint, "<", str(i))
+            conc = Implies(
+                Atom(name_a, tuple(Var(v) for v in params_a)),
+                Atom(name_b, tuple(Var(v) for v in params_b)),
+            )
+            rules.append(_bridge([(str(i - 1), prem)], (str(i), conc)))
 
+    properties = []
     for hi in range(depth, 0, -1):
         for lo in range(hi - 1, -1, -1):
             if spec.domains in ("increasing", "constant"):
-                lines.append(f"property tot {hi} {lo}")
+                properties.append(RelationProperty("tot", (str(hi), str(lo))))
             if spec.domains in ("decreasing", "constant"):
-                lines.append(f"property tot {lo} {hi}")
+                properties.append(RelationProperty("tot", (str(lo), str(hi))))
     if spec.semantics == "counterpart":
         for i in range(depth, 1, -1):
             for j in range(i - 1, 0, -1):
                 for k in range(j - 1, -1, -1):
-                    lines.append(f"property com {i} {j} {k}")
-    return _assemble("qml", tuple(names), lines)
+                    properties.append(RelationProperty("com", (str(i), str(j), str(k))))
+    theory = _expand_properties(Theory(indices, signatures, axioms), rules, properties)
+    return _encoded("qml", theory, names, spec.sources)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,7 +1033,9 @@ def parse_qlc(text: str) -> QlcSpec:
                 raise ts.error(f"unknown context {home!r}")
             ts.expect(":")
             sources.append(lines[ts.peek().line - 1].strip())
-            formulas.append((home, _whole_formula(_QlcParser(sig, ts, contexts))))
+            # context names double as constants
+            local = _signature(home, (*sig.consts, *contexts), sig.funcs, sig.preds)
+            formulas.append((home, _whole_formula(_QlcParser(local, ts, contexts))))
         else:
             raise ts.error("expected contexts, signature, or formula")
     if len(set(contexts)) != len(contexts):
@@ -1083,29 +1089,22 @@ def qlc_translate(f, registry: _WffRegistry) -> Formula:
     return rebuild(f, [qlc_translate(g, registry) for g in children(f)])
 
 
+@_nesting_checked
 def encode_qlc(spec: QlcSpec) -> EncodedTheory:
     if len(spec.contexts) < 2:
         raise EncodeError("need at least two contexts")
     registry = _WffRegistry()
-    axioms = [(home, qlc_translate(f, registry)) for home, f in spec.formulas]
+    axioms = tuple(LabeledFormula(home, qlc_translate(f, registry)) for home, f in spec.formulas)
 
-    names = [
-        (name, f"names the formula {render_formula(body)}")
-        for name, (params, body) in sorted(registry.entries.items())
-    ]
-    wff_consts = [n for n, (p, _) in sorted(registry.entries.items()) if not p]
-    wff_funcs = [(n, len(p)) for n, (p, _) in sorted(registry.entries.items()) if p]
-    consts = list(spec.signature.consts) + list(spec.contexts) + wff_consts
-    funcs = list(spec.signature.funcs) + wff_funcs
-    preds = list(spec.signature.preds)
-    lines = ["index " + ", ".join(spec.contexts)]
-    for ctx in spec.contexts:
-        sig_line = _sig_line(ctx, consts, funcs, preds, complete_preds=[("ist", 2)])
-        lines.append(sig_line)
-    for src, (home, ax) in zip(spec.sources, axioms):
-        lines.append(f"# {src}")
-        lines.append(_axiom_line(home, ax))
+    entries = sorted(registry.entries.items())
+    names = tuple((name, f"names the formula {render_formula(body)}") for name, (_, body) in entries)
+    sig = spec.signature
+    consts = (*sig.consts, *spec.contexts, *(n for n, (p, _) in entries if not p))
+    funcs = (*sig.funcs, *((n, len(p)) for n, (p, _) in entries if p))
+    preds, complete = (*sig.preds, ("ist", 2)), frozenset({("pred", "ist")})
+    signatures = {k: _signature(k, consts, funcs, preds, complete) for k in spec.contexts}
 
+    rules = []
     for name, k in sorted(registry.uses):
         params, body = registry.entries[name]
         for h in spec.contexts:
@@ -1115,33 +1114,28 @@ def encode_qlc(spec: QlcSpec) -> EncodedTheory:
                 Const(name) if not params else App(name, tuple(ArrowVar(v, ">", k) for v in params))
             )
             enter_prem = Atom("ist", (Const(k), arrowed_args))
-            lines.append(_bridge_line([(h, enter_prem)], (k, body)))
+            rules.append(_bridge([(h, enter_prem)], (k, body)))
             plain: Term = Const(name) if not params else App(name, tuple(Var(v) for v in params))
             exit_conc = Atom("ist", (Const(k), plain))
-            lines.append(_bridge_line([(k, _arrowed(body, params, ">", h))], (h, exit_conc)))
+            rules.append(_bridge([(k, _arrowed(body, params, ">", h))], (h, exit_conc)))
 
-    rigid_terms = list(spec.signature.consts) + list(spec.contexts)
+    rigid_terms = list(sig.consts) + list(spec.contexts)
     for k in spec.contexts:
         for h in spec.contexts:
             if h == k:
                 continue
             for t in rigid_terms:
-                lines.append(
-                    _bridge_line([(k, Eq(Var("x"), Const(t)))], (h, Eq(ArrowVar("x", "<", k), Const(t))))
-                )
-    for k in spec.contexts:
-        for h in spec.contexts:
-            if h != k:
-                lines.append(f"property fun {k} {h}")
-                lines.append(f"property tot {k} {h}")
-                lines.append(f"property inj {k} {h}")
+                there = Eq(ArrowVar("x", "<", k), Const(t))
+                rules.append(_bridge([(k, Eq(Var("x"), Const(t)))], (h, there)))
+    pairs = [(k, h) for k in spec.contexts for h in spec.contexts if h != k]
+    properties = [RelationProperty(kind, pair) for pair in pairs for kind in ("fun", "tot", "inj")]
     done = set()
-    for k in spec.contexts:
-        for h in spec.contexts:
-            if h != k and (h, k) not in done:
-                done.add((k, h))
-                lines.append(f"property inv {k} {h}")
-    return _assemble("qlc", tuple(names), lines)
+    for k, h in pairs:
+        if (h, k) not in done:
+            done.add((k, h))
+            properties.append(RelationProperty("inv", (k, h)))
+    theory = _expand_properties(Theory(tuple(spec.contexts), signatures, axioms), rules, properties)
+    return _encoded("qlc", theory, names, spec.sources)
 
 
 # ---------------------------------------------------------------------------

@@ -461,39 +461,26 @@ def _variables_of(formulas: Iterable[LabeledFormula]) -> list[tuple[str, Term]]:
 def _assignments_over(
     M: DfolModel, slots: list[tuple[str, Term]]
 ) -> Iterator[Assignment]:
-    """Depth-first lexicographic enumeration over the given variable slots,
-    pruning as soon as an arrow variable's relation condition is decidable."""
+    """Depth-first lexicographic enumeration over the given variable slots.
+    A slot with arrow conditions ranges over a relation image, and further
+    conditions filter it, as in `_RulePlan.check`."""
     n = len(slots)
-    slot_pos = {s: k for k, s in enumerate(slots)}
-
-    # for each position, the arrow conditions fully determined once it is set
-    checks: list[list[tuple[str, ArrowVar]]] = [[] for _ in range(n)]
-    for index, var in slots:
-        if isinstance(var, ArrowVar):
-            anchor_pos = slot_pos.get((var.foreign, Var(var.base)), -1)
-            own_pos = slot_pos[(index, var)]
-            checks[max(anchor_pos, own_pos)].append((index, var))
-
-    values: dict[tuple[str, Term], str] = {}
-
-    def condition_ok(index: str, av: ArrowVar) -> bool:
-        value = values[(index, av)]
-        anchor = values.get((av.foreign, Var(av.base)))
-        if anchor is None:
-            return False
-        pair = (value, anchor) if av.direction == ">" else (anchor, value)
-        return pair in M.rel(*_relation_key(index, av))
+    images: list[tuple[tuple, bool]] = []
+    sources, conditions = _slot_sources(slots, images)
+    domains = [sorted(M.domains.get(i, ())) for i, _ in slots]
+    tables = [_image(M, key, forward) for key, forward in images]
+    conditions = [[(a, b, M.rel(*key)) for a, b, key in at_k] for at_k in conditions]
+    values: list = [None] * n
 
     def rec(k: int) -> Iterator[Assignment]:
         if k == n:
-            yield Assignment([(i, v, e) for (i, v), e in values.items()])
+            yield Assignment((i, v, e) for (i, v), e in zip(slots, values))
             return
-        index, var = slots[k]
-        for elem in sorted(M.domains.get(index, ())):
-            values[(index, var)] = elem
-            if all(condition_ok(i, av) for i, av in checks[k]):
+        source, at_k = sources[k], conditions[k]
+        for elem in domains[k] if source is None else tables[source[1]].get(values[source[0]], ()):
+            values[k] = elem
+            if all((values[a], values[b]) in rel for a, b, rel in at_k):
                 yield from rec(k + 1)
-        values.pop((index, var), None)
 
     yield from rec(0)
 
@@ -581,29 +568,8 @@ class _RulePlan:
     ):
         pos = {s: k for k, s in enumerate(slots)}
         self.slots = slots
-        conditions: list[list[tuple[int, int, tuple]]] = [[] for _ in slots]
-        for k, (index, var) in enumerate(slots):
-            if isinstance(var, ArrowVar):
-                anchor = pos[(var.foreign, Var(var.base))]
-                first, second = (k, anchor) if var.direction == ">" else (anchor, k)
-                conditions[max(k, anchor)].append((first, second, _relation_key(index, var)))
         self.images: list[tuple[tuple, bool]] = []
-
-        def image(key: tuple, forward: bool) -> int:
-            if (key, forward) not in self.images:
-                self.images.append((key, forward))
-            return self.images.index((key, forward))
-
-        self.sources: list[tuple[int, int] | None] = []
-        self.conditions: list[list[tuple[int, int, tuple]]] = []
-        for k, at_k in enumerate(conditions):
-            if at_k:
-                first, second, key = at_k[0]
-                forward = second == k
-                self.sources.append((first if forward else second, image(key, forward)))
-            else:
-                self.sources.append(None)
-            self.conditions.append(at_k[1:])
+        self.sources, self.conditions = _slot_sources(slots, self.images)
         index = conclusion.index
         layout: dict[Term, int] = {}
         self.missing: list[tuple[int, int]] = []
@@ -613,7 +579,8 @@ class _RulePlan:
             else:
                 layout[v] = len(slots) + len(self.missing)
                 anchor = pos[(v.foreign, Var(v.base))]
-                self.missing.append((anchor, image(_relation_key(index, v), v.direction == "<")))
+                key = _relation_key(index, v)
+                self.missing.append((anchor, _image_number(self.images, key, v.direction == "<")))
         free = self.width = len(slots) + len(self.missing)
 
         def compiled(phi: Formula, layout: dict[Term, int]):
@@ -686,6 +653,37 @@ class _RulePlan:
                 (i, v, values[k]) for k, (i, v) in enumerate(self.slots)
             )
         return True, None
+
+
+def _image_number(images: list[tuple[tuple, bool]], key: tuple, forward: bool) -> int:
+    """The position of the image table (key, forward) in images, which
+    gains it if new."""
+    if (key, forward) not in images:
+        images.append((key, forward))
+    return images.index((key, forward))
+
+
+def _slot_sources(
+    slots: list[tuple[str, Term]], images: list[tuple[tuple, bool]]
+) -> tuple[list[tuple[int, int] | None], list[list[tuple[int, int, tuple]]]]:
+    """(sources, conditions) of the slots, as `_RulePlan` describes them;
+    the image tables the sources read are numbered in `images`."""
+    pos = {s: k for k, s in enumerate(slots)}
+    conditions: list[list[tuple[int, int, tuple]]] = [[] for _ in slots]
+    for k, (index, var) in enumerate(slots):
+        if isinstance(var, ArrowVar):
+            anchor = pos[(var.foreign, Var(var.base))]
+            first, second = (k, anchor) if var.direction == ">" else (anchor, k)
+            conditions[max(k, anchor)].append((first, second, _relation_key(index, var)))
+    sources: list[tuple[int, int] | None] = []
+    for k, at_k in enumerate(conditions):
+        if at_k:
+            first, second, key = at_k[0]
+            forward = second == k
+            sources.append((first if forward else second, _image_number(images, key, forward)))
+        else:
+            sources.append(None)
+    return sources, [at_k[1:] for at_k in conditions]
 
 
 def _image(M: DfolModel, key: tuple, forward: bool) -> dict[str, list[str]]:

@@ -786,13 +786,19 @@ def parse_theory(text: str) -> Theory:
             if len(set(idxs)) != len(idxs):
                 raise ts.error(f"property {kind} needs distinct indices")
             properties.append(RelationProperty(kind, idxs))
-    theory.properties = tuple(properties)
-    expanded: list[BridgeRule] = list(declared_rules)
+    return _expand_properties(theory, declared_rules, properties)
+
+
+def _expand_properties(
+    theory: Theory, rules: Iterable[BridgeRule], properties: Sequence[RelationProperty]
+) -> Theory:
+    """theory with the declared rules, then each property tag's bridge
+    rules, and the tags themselves; the one place tags are expanded."""
     from . import relations  # late import: relations builds on this module
 
-    for prop in properties:
-        expanded.extend(relations.bridge_rules_for_property(prop))
-    theory.rules = tuple(expanded)
+    theory.properties = tuple(properties)
+    expanded = (r for p in properties for r in relations.bridge_rules_for_property(p))
+    theory.rules = (*rules, *expanded)
     return theory
 
 

@@ -1,11 +1,19 @@
 """Encoder tests: negation and `true` in the qml and qlc dialects, which
-reach every connective of the shared formula traversal."""
+reach every connective of the shared formula traversal; errors at the
+user's input; long chains; and the text of every encoding parsing back to
+its theory."""
 
 from __future__ import annotations
+
+import random
+import sys
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
 from dfol import (
+    EncodeError,
     And,
     Atom,
     BoxF,
@@ -26,6 +34,7 @@ from dfol import (
     qml_depth,
     render_theory,
 )
+from dfol import encodings
 
 
 def property_rules(kind: str, *indices: str) -> int:
@@ -139,3 +148,168 @@ def test_qlc_reads_ist_and_rejects_box():
     while isinstance(f, And):
         f, depth = f.lhs, depth + 1
     assert (f, depth) == (PA, 999)
+
+
+# ---------------------------------------------------------------------------
+# errors point into the user's input, not into the generated theory
+# ---------------------------------------------------------------------------
+
+SIG_FQR = "signature { func f/1; pred p/1, q/1, r/0; }\n"
+
+
+@pytest.mark.parametrize(
+    "dialect, text, line, col",
+    [
+        ("qml", SIG_FQR + "formula p(f)\n", 2, 12),
+        ("qml", SIG_FQR + "formula p(q)\n", 2, 11),
+        ("qml", SIG_FQR + "formula p(r)\n", 2, 11),
+        ("qml", SIG_FQR + "formula p(7)\n", 2, 11),
+        ("qlc", "contexts k1, k2\n" + SIG_FQR + "formula k1: ist(k2, p(f))\n", 3, 24),
+        ("ddl", "ontology 1 { concepts C; individuals C; }\n", 1, 38),
+        ("ddl", "ontology 1 {\n  concepts 7;\n  axiom 7 subclassof 7;\n}\n", 2, 12),
+        ("ddl", "ontology 1 { concepts C; }\ncompose 1 1 2\n", 2, 1),
+    ],
+)
+def test_errors_name_a_position_in_the_input(dialect, text, line, col):
+    with pytest.raises(SyntaxError_) as err:
+        encode_text(dialect, text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize(
+    "dialect, text, message",
+    [
+        # a context is a constant of every context's signature
+        ("qlc", "contexts p, k2\nsignature { pred p/1; }\nformula k2: p(p)\n", "p names two"),
+        ("qlc", "contexts k1, k2\nformula k1: true\nsignature { func k2/1; }\n", "k2 names two"),
+        # the encoder's variables are x and y
+        ("ddl", "ontology 1 { concepts x, D; axiom x subclassof D; }\n", "variable x"),
+        ("ddl", "ontology 1 { concepts C; individuals x; axiom C subclassof C; }\n", "variable x"),
+        ("ddl", "ontology 1 { concepts C; }\ncompose 1 2 3\n", "unknown ontology '2'"),
+    ],
+)
+def test_clashes_in_the_built_theory_are_encode_errors(dialect, text, message):
+    with pytest.raises(EncodeError, match=message):
+        encode_text(dialect, text)
+
+
+def test_repeats_of_one_symbol_collapse():
+    enc = encode_text("ddl", "ontology 1 { concepts C, C; concepts C; }\n")
+    assert enc.theory.signatures["1"].preds == (("C", 1),)
+    text = "contexts a, k2, a2\nsignature { const a, a2; pred p/1; }\nformula k2: p(a)\n"
+    assert encode_text("qlc", text).theory.signatures["k2"].consts == ("a", "a2", "k2")
+
+
+def test_a_context_name_reads_as_a_constant():
+    text = "contexts k1, k2\nsignature { pred p/1; }\nformula k1: ist(k2, p(k2))\n"
+    (ax,) = encode_text("qlc", text).theory.axioms
+    # p(k2) has no free variable, so its fresh name is a constant
+    _, wff = ax.formula.args
+    assert isinstance(wff, Const) and wff.name.startswith("wff_")
+
+
+# ---------------------------------------------------------------------------
+# long & chains
+# ---------------------------------------------------------------------------
+
+
+def chain(n: int) -> str:
+    return " & ".join(["p(a)"] * n)
+
+
+@pytest.mark.parametrize(
+    "dialect, text",
+    [("qml", QML_SIG + f"formula {chain(300)}\n"), ("qlc", QLC_HEADER + f"formula k1: {chain(300)}\n")],
+    ids=["qml", "qlc"],
+)
+def test_a_300_conjunct_chain_encodes(dialect, text):
+    (ax,) = encode_text(dialect, text).theory.axioms
+    f, depth = ax.formula, 0
+    while isinstance(f, And):
+        f, depth = f.lhs, depth + 1
+    assert (f, depth) == (PA, 299)
+
+
+def test_a_900_conjunct_chain_encodes_or_raises_a_typed_error():
+    text = QML_SIG + f"formula box ({chain(900)})\n"
+    assert qml_depth(parse_qml(text).formulas[0]) == 1
+    try:
+        encode_text("qml", text)
+    except (EncodeError, SyntaxError_):
+        pass
+
+
+# ---------------------------------------------------------------------------
+# the text of every encoding parses back to its theory
+# ---------------------------------------------------------------------------
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import generators  # noqa: E402
+
+
+def docstring_examples() -> list[str]:
+    """The indented examples after `::` in the encodings module docstring."""
+    examples = []
+    for chunk in encodings.__doc__.split("::\n\n")[1:]:
+        lines = takewhile(lambda line: not line or line.startswith("    "), chunk.splitlines())
+        examples.append("\n".join(lines) + "\n")
+    return examples
+
+
+ROUND_TRIP_INPUTS = [
+    *zip(("ddl", "econn"), docstring_examples()),
+    *(
+        (dialect, generators.encoder_input(random.Random(seed), dialect, n, negate)[0])
+        for seed in (1, 31)
+        for dialect in ("ddl", "econn", "pdl", "qml", "qlc")
+        for n in (1, 3, 10)
+        for negate in (False, True)
+    ),
+    (
+        "econn",
+        "ontology 1 { concepts Person, Rich; axiom Rich subclassof Person; }\n"
+        "ontology 2 { concepts House, Big; }\nlink Own from 1 to 2\n"
+        "axiom 1: Rich subclassof atleast 2 Own. Big or House\n"
+        "axiom 1: Person subclassof atmost 2 Own. House\n"
+        "axiom 1: Rich subclassof atleast 3 Own. not Big\n",
+    ),
+    (
+        "ddl",
+        "ontology 1 { concepts C; roles R; individuals a; }\n"
+        "ontology 2 { concepts D; roles S; individuals b; }\n"
+        "mapping 1: R into 2: S\nmapping 1: a onto 2: b\nmapping 2: D onto 1: not C and C\n",
+    ),
+    (
+        "pdl",
+        "package 1 { concepts C; roles R; individuals a; }\n"
+        "package 2 { concepts D; axiom D subclassof D; }\npackage 3 { concepts E; }\n"
+        "import 1: C into 2\nimport 1: R into 2\nimport 1: a into 2\nimport 1: C into 3\nimport 2: D into 3\n",
+    ),
+    ("qml", "signature { const a; pred p/1, q/0; }\nformula box(x = a) p(x)\nformula forall x. box box (p(x) | ~q)\n"),
+    ("qml", "semantics counterpart\nsignature { const a; func f/1; pred p/1; }\nformula box box box p(f(a))\n"),
+    ("qml", "domains constant\nsignature { const a; pred p/1; }\nformula box p(a) & box ~p(a) & true\n"),
+    (
+        "qlc",
+        "contexts k1, k2, k3\nsignature { const a; func f/1; pred p/1, q/2; }\n"
+        "formula k1: forall x. ist(k2, p(x)) -> ist(k3, q(x, f(a)))\n"
+        "formula k2: ist(k1, true) & ~ist(k3, ist(k1, p(a)))\n",
+    ),
+]
+
+
+def test_round_trip_inputs_cover_every_dialect_and_both_docstring_examples():
+    assert len(docstring_examples()) == 2
+    assert {dialect for dialect, _ in ROUND_TRIP_INPUTS} == set(encodings.DIALECTS)
+
+
+@pytest.mark.parametrize("dialect, text", ROUND_TRIP_INPUTS)
+def test_the_text_parses_back_to_the_theory(dialect, text):
+    enc = encode_text(dialect, text)
+    assert enc.theory.rules
+    assert parse_theory(enc.text) == enc.theory
+    header = enc.text.split("\nindex ")[0].splitlines()
+    assert header[0] == f"# encoded {dialect} input"
+    sources = [line.strip() for line in text.splitlines() if line.startswith("formula")]
+    assert header[1:] == [f"# {fresh} = {meaning}" for fresh, meaning in enc.names] + [
+        f"# {src}" for src in sources
+    ]

@@ -1062,6 +1062,41 @@ def test_an_arrow_slot_is_not_swept_over_its_whole_domain(n):
     assert identity.tests <= n
 
 
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_enumeration_does_not_sweep_an_arrow_slot_over_its_whole_domain(n):
+    T = parse_theory("index 1, 2\nsignature 1 { pred p/1; }")
+    formulas = [parse_labeled_formula(T, "1: p(x^>2)")]
+    dom = tuple(f"e{k:03d}" for k in range(n))
+    identity = _CountingRelation((e, e) for e in dom)
+    M = DfolModel({"1": dom, "2": dom}, {}, {("1", "2", None): identity})
+    got = list(enumerate_admissible(M, formulas))
+    assert identity.tests <= n
+    assert len(got) == n
+    assert got == list(_naive_sweep(M, _variables_of(formulas)))
+
+
+# formula sets for enumeration: one arrow slot with two conditions, labelled
+# arrows on either side of their anchor, an arrow next to a plain variable
+ENUM_FORMULA_SETS = [
+    [parse_labeled_formula(DIFF_THEORY, text) for text in texts]
+    for texts in (
+        ("1: p(x^>2)",),
+        ("1: p(x^>3)", "2: s(x^>3)"),
+        ("1: p(x^>2@E) & q(y)",),
+        ("3: r(x^<1, x^<2@E) -> r(y^<2@E, x^<1)",),
+        ("1: p(x) & q(x^>2)", "2: t(x^<1@E)"),
+    )
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=image_models())
+def test_enumeration_matches_naive_sweep(M):
+    for formulas in ENUM_FORMULA_SETS:
+        expected = list(_naive_sweep(M, _variables_of(formulas)))
+        assert list(enumerate_admissible(M, formulas)) == expected, formulas
+
+
 # ---------------------------------------------------------------------------
 # the nesting limit: evaluation recurses once per level, as the parser does
 # ---------------------------------------------------------------------------
