@@ -29,18 +29,30 @@ one index: it accepts a step when the bundled bounded prover derives
 the conclusion from the cited premises together with the arrow free
 local axioms of that index, reading arrow variables as constants.
 
-Proof file format, one step per line::
+A proof file, and its grammar over the tokens of theory files
+(`syntax.tokenize`)::
 
-    theory <path>
+    theory magicbox.dfol
     (1) 1: inbox(x,r) ; rule=assumption
     (2) 2: exists y. inbox(x^<1,y) ; rule=BR:1 ; from=1
-    ...
     conclude (2) global=1 local=
 
-``from=`` lists premises in schema order (major premise first for
-``cut``, ``orE``, ``exE``); ``discharge=`` lists the assumption steps a
-rule closes.  ``#`` starts a comment.  The footer claims the concluding
-step and the split of its dependencies into global and local parts.
+    script := step* 'conclude' '(' NUMBER ')' (('global' | 'local') '=' IDS)*
+    step   := '(' NUMBER ')' LABELED (';' field)*
+    field  := 'rule' '=' RULE | ('from' | 'discharge') '=' IDS
+    RULE   := IDENT ('-' IDENT)? (':' IDENT | ':' NUMBER)?
+    IDS    := (NUMBER (',' NUMBER)*)?
+
+LABELED is `i: <formula>`; line breaks are whitespace like any other.
+The first line that is not blank or a comment may be the header, read as
+raw text: `theory`, then a path up to the line's end or a `#`, relative
+to base_dir.  A step needs a ``rule=``, and no field or claim may
+repeat.  ``from=`` lists premises in schema order (major premise first
+for ``cut``, ``orE``, ``exE``); ``discharge=`` lists the assumption
+steps a rule closes.  The footer claims the concluding step and the
+split of its dependencies into global and local parts.  A malformed
+script, or a theory file that cannot be read or parsed, raises
+``ProofSyntaxError`` at a line and column.
 """
 
 from __future__ import annotations
@@ -63,20 +75,23 @@ from .syntax import (
     LabeledFormula,
     Not,
     Or,
+    SyntaxError_,
     Term,
     Theory,
+    TokenStream,
     Var,
+    _labeled_formula,
     arrow_vars,
     atom_terms,
     children,
     free_plain_vars,
     is_complete_formula,
-    parse_labeled_formula,
     parse_theory,
     render_term,
     substitute,
     term_arrow_vars,
     term_free_plain_vars,
+    tokenize,
 )
 
 __all__ = [
@@ -140,6 +155,8 @@ class RuleId:
             raise ValueError(f"bad rule side {self.side!r}")
         if self.name == "BR" and (self.br_ref is None or self.br_ref < 1):
             raise ValueError("BR needs a 1-based bridge rule reference")
+        if self.name != "BR" and self.br_ref is not None:
+            raise ValueError(f"{self.name} takes no bridge rule reference")
 
     def __str__(self) -> str:
         if self.br_ref is not None:
@@ -215,12 +232,8 @@ class CheckConfig:
     lemma_max_steps: int = DEFAULT_MAX_STEPS
 
 
-class ProofSyntaxError(Exception):
-    """Malformed proof file, with the offending line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class ProofSyntaxError(SyntaxError_):
+    """Malformed proof file, at a line and column (1-based)."""
 
 
 # ---------------------------------------------------------------------------
@@ -229,71 +242,73 @@ class ProofSyntaxError(Exception):
 
 
 def parse_rule_id(text: str) -> RuleId:
-    text = text.strip()
-    name, _, tail = text.partition(":")
-    name = name.strip()
-    tail = tail.strip()
-    if not tail:
-        return RuleId(name)
-    if name == "BR":
-        if not tail.isdigit():
-            raise ValueError(f"bad bridge rule reference {tail!r}")
-        return RuleId(name, br_ref=int(tail))
-    return RuleId(name, side=tail)
-
-
-def _parse_ids(text: str, line_no: int) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk.isdigit():
-            raise ProofSyntaxError(f"bad step reference {chunk!r}", line_no)
-        out.append(int(chunk))
-    return tuple(out)
-
-
-def _parse_step_line(theory: Theory, line: str, line_no: int) -> ProofStep:
-    head, *fields = [part.strip() for part in line.split(";")]
-    if not head.startswith("("):
-        raise ProofSyntaxError("step must start with (<id>)", line_no)
-    close = head.find(")")
-    if close < 0:
-        raise ProofSyntaxError("unterminated step id", line_no)
-    id_text = head[1:close].strip()
-    if not id_text.isdigit():
-        raise ProofSyntaxError(f"bad step id {id_text!r}", line_no)
-    sid = int(id_text)
+    """A rule tag such as ``impI``, ``andE:left`` or ``BR:3``; any other
+    text raises ValueError."""
+    ts = TokenStream(tokenize(text))
     try:
-        lf = parse_labeled_formula(theory, head[close + 1:].strip())
-    except Exception as exc:
-        raise ProofSyntaxError(f"bad formula: {exc}", line_no) from exc
-    rule: RuleId | None = None
-    premises: tuple[int, ...] = ()
-    discharged: tuple[int, ...] = ()
-    for f in fields:
-        if not f:
-            continue
-        key, eq, value = f.partition("=")
-        key = key.strip()
-        if not eq:
-            raise ProofSyntaxError(f"expected key=value, found {f!r}", line_no)
-        if key == "rule":
-            try:
-                rule = parse_rule_id(value)
-            except ValueError as exc:
-                raise ProofSyntaxError(str(exc), line_no) from exc
-        elif key == "from":
-            premises = _parse_ids(value, line_no)
-        elif key == "discharge":
-            discharged = _parse_ids(value, line_no)
-        else:
-            raise ProofSyntaxError(f"unknown field {key!r}", line_no)
-    if rule is None:
-        raise ProofSyntaxError("step needs a rule= field", line_no)
-    return ProofStep(sid, lf, rule, premises, discharged)
+        rule = _rule_id(ts)
+        ts.expect_end("eof")
+    except SyntaxError_ as exc:
+        raise ValueError(exc.message) from None
+    return rule
+
+
+def _rule_id(ts: TokenStream) -> RuleId:
+    """`ident [: ident | : NUMBER]`, where `local-lemma` is ident `-` ident."""
+    tok = ts.expect("ident")
+    name = tok.text
+    if ts.accept("-"):
+        name += "-" + ts.expect("ident").text
+    tag = ts.accept(":") and (ts.accept("number") or ts.expect("ident"))
+    try:
+        if tag and tag.kind == "number":
+            return RuleId(name, br_ref=int(tag.text))
+        return RuleId(name, side=tag.text if tag else None)
+    except ValueError as exc:
+        raise SyntaxError_(str(exc), tok.line, tok.col) from None
+
+
+def _step_ids(ts: TokenStream) -> tuple[int, ...]:
+    """`NUMBER (, NUMBER)*`, or nothing."""
+    if not ts.at("number"):
+        return ()
+    return tuple(int(t.text) for t in ts.separated(lambda: ts.expect("number")))
+
+
+def _field(ts: TokenStream, keys: tuple[str, ...], fields: dict) -> None:
+    """One `key=value` field into fields; key must be one of keys, once."""
+    key = ts.expect("ident")
+    if key.text not in keys or key.text in fields:
+        what = "repeated" if key.text in fields else "unknown"
+        raise SyntaxError_(f"{what} field {key.text!r}", key.line, key.col)
+    ts.expect("=")
+    fields[key.text] = _rule_id(ts) if key.text == "rule" else _step_ids(ts)
+
+
+def _step(theory: Theory, ts: TokenStream) -> ProofStep:
+    """`( NUMBER ) i: <formula>` and its `; key=value` fields."""
+    start = ts.expect("(")
+    sid = int(ts.expect("number").text)
+    ts.expect(")")
+    lf = _labeled_formula(theory, ts)
+    fields: dict = {}
+    while ts.accept(";"):
+        _field(ts, ("rule", "from", "discharge"), fields)
+    if "rule" not in fields:
+        raise SyntaxError_("step needs a rule= field", start.line, start.col)
+    return ProofStep(sid, lf, fields["rule"], fields.get("from", ()), fields.get("discharge", ()))
+
+
+def _header_theory(line: str, line_no: int, base_dir: str | Path) -> Theory:
+    """The theory named by the header line `theory <path>`."""
+    path = line.split("#", 1)[0].strip()[len("theory"):].strip()
+    col = len(line) - len(line.lstrip()) + 1
+    try:
+        return parse_theory((Path(base_dir) / path).read_text())
+    except (OSError, UnicodeError) as exc:
+        raise ProofSyntaxError(f"cannot read theory {path!r}: {exc}", line_no, col) from exc
+    except SyntaxError_ as exc:
+        raise ProofSyntaxError(f"theory {path!r}, {exc}", line_no, col) from exc
 
 
 def parse_proof_script(
@@ -304,54 +319,37 @@ def parse_proof_script(
 ) -> ProofScript:
     """Parse a proof file; the theory comes from the ``theory <path>``
     header (resolved against base_dir) unless passed explicitly."""
-    steps: list[ProofStep] = []
-    footer = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("theory"):
-            if steps or footer is not None:
-                raise ProofSyntaxError("theory header must come first", line_no)
-            path = line[len("theory"):].strip()
-            if theory is None:
-                theory = parse_theory((Path(base_dir) / path).read_text())
-            continue
-        if line.startswith("conclude"):
-            if footer is not None:
-                raise ProofSyntaxError("duplicate conclude footer", line_no)
-            footer = (line[len("conclude"):].strip(), line_no)
-            continue
+    # The header is the one line read as text, since a path is no token
+    # sequence; it is blanked, not dropped, so line numbers stay true.
+    lines = text.split("\n")
+    for n, line in enumerate(lines):
+        words = line.split("#", 1)[0].split(None, 1)
+        if words:
+            if words[0] == "theory":
+                lines[n] = ""
+                if theory is None:
+                    theory = _header_theory(line, n + 1, base_dir)
+            break
+    try:
+        ts = TokenStream(tokenize("\n".join(lines)))
         if theory is None:
-            raise ProofSyntaxError("no theory header before first step", line_no)
-        if footer is not None:
-            raise ProofSyntaxError("steps after conclude footer", line_no)
-        steps.append(_parse_step_line(theory, line, line_no))
-    if theory is None:
-        raise ProofSyntaxError("proof has no theory", 1)
-    if footer is None:
-        raise ProofSyntaxError("proof has no conclude footer", 1)
-    footer_text, footer_line = footer
-    if not footer_text.startswith("("):
-        raise ProofSyntaxError("conclude needs (<id>)", footer_line)
-    close = footer_text.find(")")
-    concluded_text = footer_text[1:close].strip()
-    if close < 0 or not concluded_text.isdigit():
-        raise ProofSyntaxError("bad concluded step id", footer_line)
-    concluded = int(concluded_text)
-    claimed: dict[str, tuple[int, ...]] = {"global": (), "local": ()}
-    for f in footer_text[close + 1:].split():
-        key, eq, value = f.partition("=")
-        if not eq or key not in claimed:
-            raise ProofSyntaxError(f"bad footer field {f!r}", footer_line)
-        claimed[key] = _parse_ids(value, footer_line)
-    return ProofScript(
-        theory=theory,
-        steps=tuple(steps),
-        concluded=concluded,
-        claimed_global=frozenset(claimed["global"]),
-        claimed_local=frozenset(claimed["local"]),
-    )
+            raise ts.error("proof has no theory header")
+        steps = []
+        while not ts.accept("ident", "conclude"):
+            if ts.at("eof"):
+                raise ts.error("proof has no conclude footer")
+            steps.append(_step(theory, ts))
+        ts.expect("(")
+        concluded = int(ts.expect("number").text)
+        ts.expect(")")
+        claimed: dict = {}
+        while ts.at("ident"):
+            _field(ts, ("global", "local"), claimed)
+        ts.expect_end("eof")
+    except SyntaxError_ as exc:
+        raise ProofSyntaxError(exc.message, exc.line, exc.col) from exc
+    claims = (frozenset(claimed.get(key, ())) for key in ("global", "local"))
+    return ProofScript(theory, tuple(steps), concluded, *claims)
 
 
 def load_proof_script(path: str | Path, *, theory: Theory | None = None) -> ProofScript:

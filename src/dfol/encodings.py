@@ -934,7 +934,9 @@ def encode_qml(spec: QmlSpec) -> EncodedTheory:
     names = tuple((name, f"box {render_formula(body)} (index {i})") for i, name, _, body in entries)
     sig = spec.signature
     boxes = {i: [(name, len(params)) for j, name, params, _ in entries if str(j) == i] for i in indices}
-    signatures = {i: _signature(i, sig.consts, sig.funcs, (*sig.preds, *boxes[i])) for i in indices}
+    signatures = {
+        i: _signature(i, sig.consts, sig.funcs, (*sig.preds, *boxes[i]), sig.complete) for i in indices
+    }
 
     rules = []
     for i, name, params, body in entries:
@@ -1119,7 +1121,7 @@ def encode_qlc(spec: QlcSpec) -> EncodedTheory:
             exit_conc = Atom("ist", (Const(k), plain))
             rules.append(_bridge([(k, _arrowed(body, params, ">", h))], (h, exit_conc)))
 
-    rigid_terms = list(sig.consts) + list(spec.contexts)
+    rigid_terms = dict.fromkeys((*sig.consts, *spec.contexts))
     for k in spec.contexts:
         for h in spec.contexts:
             if h == k:

@@ -418,6 +418,7 @@ _PUNCT = [
     "==>",
     "<-",
     "->",
+    "-",
     "^>",
     "^<",
     "(",
@@ -444,11 +445,12 @@ class Token(NamedTuple):
     col: int
 
 
-# one alternative per token class; punctuation is tried in _PUNCT order, so
-# `==>` wins over `=`, and any other character is an error
+# one alternative per token class, after any blanks; punctuation is tried
+# in _PUNCT order, so `==>` wins over `=`, and any other character but a
+# blank is an error (blanks at the end of the text match nothing)
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|(?P<comment>#[^\n]*)|(?P<ident>[^\W\d]\w*)|(?P<number>[0-9]+)"
-    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + r")|(?P<bad>.)"
+    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<ident>[^\W\d]\w*)|(?P<number>[0-9]+)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + r")|(?P<bad>[^ \t\r]))"
 )
 
 
@@ -457,24 +459,23 @@ def tokenize(text: str) -> list[Token]:
     Columns count characters from 1, and a comment takes up none, so the
     eof token after a trailing comment sits where the comment starts."""
     toks: list[Token] = []
-    line, line_start, end = 1, 0, 0
+    line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind == "comment":
             continue
         if kind == "newline":
             line, line_start = line + 1, m.end()
-            end = line_start
             continue
-        end = m.end()
-        if kind is None:
-            continue
-        word = m.group()
-        col = m.start() - line_start + 1
+        word = m.group(kind)
+        col = m.end() - len(word) - line_start + 1
         if kind == "bad":
             raise SyntaxError_(f"unexpected character {word!r}", line, col)
-        toks.append(Token(word if kind == "punct" else kind, word, line, col))
-    toks.append(Token("eof", "", line, end - line_start + 1))
+        # tuple.__new__ skips the Python-level NamedTuple constructor, a
+        # third of this loop's time
+        toks.append(tuple.__new__(Token, (word if kind == "punct" else kind, word, line, col)))
+    # every character before a `#` is a token or a blank, or raised above
+    toks.append(Token("eof", "", line, len(text[line_start:].split("#", 1)[0]) + 1))
     return toks
 
 
@@ -497,18 +498,21 @@ class TokenStream:
             self.pos += 1
         return tok
 
+    # at, accept and expect read the current token themselves rather than
+    # through peek and at: they run once or more per token of every parse
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.at(kind, text):
-            return self.next()
-        return None
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
+            return None
+        return self.next()
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, text):
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
             raise SyntaxError_(
                 f"expected {want!r}, found {tok.text or tok.kind!r}",
@@ -802,61 +806,37 @@ def _expand_properties(
     return theory
 
 
+_SYMBOL_NAMES = {"const": "a constant name", "func": "a function name", "pred": "a predicate name"}
+
+
 def _parse_signature_block(ts: TokenStream, sig: Signature) -> Signature:
+    """`{ [complete] (const NAME | func NAME/N | pred NAME/N) (, ...)* ; ... }`
+    added to sig; a repeated entry collapses into one."""
     ts.expect("{")
-    consts = list(sig.consts)
-    funcs = list(sig.funcs)
-    preds = list(sig.preds)
+    symbols = {"const": list(sig.consts), "func": list(sig.funcs), "pred": list(sig.preds)}
     complete = set(sig.complete)
     while not ts.accept("}"):
         is_complete = ts.accept("ident", "complete") is not None
-        kind_tok = ts.peek()
-        if ts.accept("ident", "const"):
-            while True:
-                name = _name_token(ts, "a constant name").text
-                if name not in consts:
-                    consts.append(name)
-                if is_complete:
-                    complete.add(("const", name))
-                if not ts.accept(","):
-                    break
-        elif ts.accept("ident", "func"):
-            while True:
-                name = _name_token(ts, "a function name").text
+        kind_tok = ts.next()
+        kind = kind_tok.text
+        if kind not in symbols:
+            raise SyntaxError_(f"expected const/func/pred, found {kind!r}", kind_tok.line, kind_tok.col)
+        while True:
+            name = entry = _name_token(ts, _SYMBOL_NAMES[kind]).text
+            if kind != "const":
                 ts.expect("/")
-                arity = int(ts.expect("number").text)
-                if arity < 1:
+                entry = (name, int(ts.expect("number").text))
+                if kind == "func" and entry[1] < 1:
                     raise ts.error(f"function {name} must have arity >= 1")
-                if (name, arity) not in funcs:
-                    funcs.append((name, arity))
-                if is_complete:
-                    complete.add(("func", name))
-                if not ts.accept(","):
-                    break
-        elif ts.accept("ident", "pred"):
-            while True:
-                name = _name_token(ts, "a predicate name").text
-                ts.expect("/")
-                arity = int(ts.expect("number").text)
-                if (name, arity) not in preds:
-                    preds.append((name, arity))
-                if is_complete:
-                    complete.add(("pred", name))
-                if not ts.accept(","):
-                    break
-        else:
-            raise SyntaxError_(
-                f"expected const/func/pred, found {kind_tok.text!r}",
-                kind_tok.line,
-                kind_tok.col,
-            )
+            if entry not in symbols[kind]:
+                symbols[kind].append(entry)
+            if is_complete:
+                complete.add((kind, name))
+            if not ts.accept(","):
+                break
         ts.expect(";")
-    new_sig = Signature(tuple(consts), tuple(funcs), tuple(preds), frozenset(complete))
-    names = (
-        [c for c in new_sig.consts]
-        + [f for f, _ in new_sig.funcs]
-        + [p for p, _ in new_sig.preds]
-    )
+    new_sig = Signature(*(tuple(symbols[k]) for k in ("const", "func", "pred")), frozenset(complete))
+    names = [*new_sig.consts, *(f for f, _ in new_sig.funcs), *(p for p, _ in new_sig.preds)]
     if len(names) != len(set(names)):
         dup = sorted({n for n in names if names.count(n) > 1})
         raise ts.error(f"symbol declared twice in signature: {dup}")
@@ -881,38 +861,51 @@ def render_term(t: Term) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
-# binary precedence levels; quantifiers and their bodies sit below "->"
-_PREC = {Implies: 1, Or: 2, And: 3}
+# binary connectives: precedence level and operator; quantifiers and their
+# bodies sit below "->"
+_BINARY = {Implies: (1, "->"), Or: (2, "|"), And: (3, "&")}
 
 
 def render_formula(f: Formula) -> str:
-    return _render(f, 0)
-
-
-def _render(f: Formula, ctx: int) -> str:
-    if isinstance(f, Falsum):
-        return "false"
-    if isinstance(f, Atom):
-        if not f.args:
-            return f.pred
-        return f"{f.pred}({', '.join(render_term(a) for a in f.args)})"
-    if isinstance(f, Eq):
-        return f"{render_term(f.lhs)} = {render_term(f.rhs)}"
-    if isinstance(f, Not):
-        return f"~{_render(f.body, 4)}"
-    if isinstance(f, (Forall, Exists)):
-        kw = "forall" if isinstance(f, Forall) else "exists"
-        text = f"{kw} {f.var}. {_render(f.body, 0)}"
-        return f"({text})" if ctx > 0 else text
-    if isinstance(f, (And, Or, Implies)):
-        prec = _PREC[type(f)]
-        op = {And: "&", Or: "|", Implies: "->"}[type(f)]
-        # right-associative: the left child must bind strictly tighter
-        lhs = _render(f.lhs, prec + 1)
-        rhs = _render(f.rhs, prec)
-        text = f"{lhs} {op} {rhs}"
-        return f"({text})" if ctx > prec else text
-    raise TypeError(f"not a formula: {f!r}")
+    """Text that parses back to f, with only the parentheses it needs.
+    The walk uses an explicit stack, because the parser accepts & chains
+    nested deeper than a recursive renderer can follow: it holds the
+    (formula, context precedence) pairs and closing texts still to be
+    written, the next one on top."""
+    out: list[str] = []
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, ctx = item
+        cls = type(g)
+        if cls is Not:
+            out.append("~")
+            stack.append((g.body, 4))
+        elif cls is Forall or cls is Exists:
+            if ctx > 0:
+                out.append("(")
+                stack.append(")")
+            out.append(f"{'forall' if cls is Forall else 'exists'} {g.var}. ")
+            stack.append((g.body, 0))
+        elif cls in _BINARY:
+            prec, op = _BINARY[cls]
+            if ctx > prec:
+                out.append("(")
+                stack.append(")")
+            # right-associative: the left child must bind strictly tighter
+            stack += [(g.rhs, prec), f" {op} ", (g.lhs, prec + 1)]
+        elif cls is Atom:
+            out.append(f"{g.pred}({', '.join(map(render_term, g.args))})" if g.args else g.pred)
+        elif cls is Eq:
+            out.append(f"{render_term(g.lhs)} = {render_term(g.rhs)}")
+        elif cls is Falsum:
+            out.append("false")
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)
 
 
 def render_labeled(lf: LabeledFormula) -> str:

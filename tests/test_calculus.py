@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import random
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfol.calculus import (
     CheckConfig,
+    ProofScript,
+    ProofStep,
     ProofSyntaxError,
+    RuleId,
     assumption_status,
     check_proof,
     existential_vars_of_step,
@@ -17,9 +24,12 @@ from dfol.calculus import (
     parse_rule_id,
 )
 from dfol.consequence import SearchBound, logical_consequence
-from dfol.syntax import ArrowVar, parse_labeled_formula, parse_theory
+from dfol.syntax import ArrowVar, SyntaxError_, parse_labeled_formula, parse_theory
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import generators  # noqa: E402
 
 UNIT = parse_theory(
     """
@@ -107,6 +117,55 @@ def test_parse_rejects(text):
 def test_parse_needs_theory():
     with pytest.raises(ProofSyntaxError):
         parse_proof_script("(1) 1: p(c) ; rule=assumption\nconclude (1) global=1 local=")
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("(1) 1: p(c) ; rule=assumption ; rule=axiom\nconclude (1) global=1 local=", 1, 33),
+        ("(1) 1: p(c) ; rule=axiom\n(2) 1: p(c) ; rule=axiom ; from=1 ; from=\nconclude (2)", 2, 37),
+        ("(1) 1: p(c) ; rule=assumption ; discharge= ; discharge=1\nconclude (1)", 1, 46),
+        ("(1) 1: p(c) ; rule=assumption\nconclude (1) global=1 global=", 2, 23),
+        ("(1) 1: p(c) ; rule=assumption\nconclude (1) local= global=1 local=1", 2, 30),
+    ],
+)
+def test_repeated_fields_are_errors(text, line, col):
+    with pytest.raises(ProofSyntaxError, match="repeated field") as err:
+        mk(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_errors_carry_line_and_column():
+    with pytest.raises(ProofSyntaxError) as err:
+        mk("# a comment\n(1) 1: p(c) ; rule=assumption\n  (2) 1: p(c) & ; rule=axiom\nconclude (2)")
+    assert (err.value.line, err.value.col) == (3, 17)
+    with pytest.raises(ProofSyntaxError, match="unknown rule") as err:
+        mk("(1) 1: p(c) ; rule=local-lemmas\nconclude (1)")
+    assert (err.value.line, err.value.col) == (1, 20)
+    assert mk("(1) 1: p(c) ; rule=local-lemma\nconclude (1)").steps[0].rule.name == "local-lemma"
+
+
+def test_theory_header(tmp_path):
+    (tmp_path / "t.dfol").write_text("index 1\nsignature 1 { pred p/0; }\n")
+    (tmp_path / "bad.dfol").write_text("index 1\nsignature 1 { pred p/0 }\n")
+    steps = "(1) 1: p ; rule=assumption\nconclude (1) global=1\n"
+    script = parse_proof_script("# header\n\ttheory t.dfol  # a comment\n" + steps, base_dir=tmp_path)
+    assert script.theory.indices == ("1",) and script.concluded == 1
+
+    with pytest.raises(ProofSyntaxError, match="cannot read theory 'missing.dfol'") as err:
+        parse_proof_script("\ntheory missing.dfol\n" + steps, base_dir=tmp_path)
+    assert (err.value.line, err.value.col) == (2, 1)
+    assert isinstance(err.value.__cause__, FileNotFoundError)
+
+    with pytest.raises(ProofSyntaxError, match=r"theory 'bad.dfol', 2:24: expected ';'") as err:
+        parse_proof_script("  theory bad.dfol\n" + steps, base_dir=tmp_path)
+    assert (err.value.line, err.value.col) == (1, 3)
+    assert isinstance(err.value.__cause__, SyntaxError_)
+
+    # `theorynope` is no header; `theory` after the first line is no header either
+    for text in ("theorynope t.dfol\n" + steps, steps + "theory t.dfol\n", "# c\n" + steps + "theory t.dfol"):
+        with pytest.raises(ProofSyntaxError):
+            parse_proof_script(text, base_dir=tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -750,3 +809,164 @@ def test_missing_concluded_step():
         """
     )
     assert r.code == "conclusion"
+
+
+# ---------------------------------------------------------------------------
+# The token parser against the line parser it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_rule_id(text: str) -> RuleId:
+    name, _, tail = text.strip().partition(":")
+    name, tail = name.strip(), tail.strip()
+    if not tail:
+        return RuleId(name)
+    if name == "BR":
+        if not tail.isdigit():
+            raise ValueError(f"bad bridge rule reference {tail!r}")
+        return RuleId(name, br_ref=int(tail))
+    return RuleId(name, side=tail)
+
+
+def _reference_ids(text: str, line_no: int) -> tuple[int, ...]:
+    text = text.strip()
+    if not text:
+        return ()
+    out = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk.isdigit():
+            raise ProofSyntaxError(f"bad step reference {chunk!r}", line_no, 1)
+        out.append(int(chunk))
+    return tuple(out)
+
+
+def _reference_step(theory, line: str, line_no: int) -> ProofStep:
+    head, *fields = [part.strip() for part in line.split(";")]
+    if not head.startswith("("):
+        raise ProofSyntaxError("step must start with (<id>)", line_no, 1)
+    close = head.find(")")
+    if close < 0:
+        raise ProofSyntaxError("unterminated step id", line_no, 1)
+    id_text = head[1:close].strip()
+    if not id_text.isdigit():
+        raise ProofSyntaxError(f"bad step id {id_text!r}", line_no, 1)
+    try:
+        lf = parse_labeled_formula(theory, head[close + 1:].strip())
+    except Exception as exc:
+        raise ProofSyntaxError(f"bad formula: {exc}", line_no, 1) from exc
+    rule, premises, discharged = None, (), ()
+    for f in fields:
+        if not f:
+            continue
+        key, eq, value = f.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ProofSyntaxError(f"expected key=value, found {f!r}", line_no, 1)
+        if key == "rule":
+            try:
+                rule = _reference_rule_id(value)
+            except ValueError as exc:
+                raise ProofSyntaxError(str(exc), line_no, 1) from exc
+        elif key == "from":
+            premises = _reference_ids(value, line_no)
+        elif key == "discharge":
+            discharged = _reference_ids(value, line_no)
+        else:
+            raise ProofSyntaxError(f"unknown field {key!r}", line_no, 1)
+    if rule is None:
+        raise ProofSyntaxError("step needs a rule= field", line_no, 1)
+    return ProofStep(int(id_text), lf, rule, premises, discharged)
+
+
+def _reference_parse_proof_script(text: str, *, theory=None, base_dir=".") -> ProofScript:
+    """The line-by-line parser that string-sliced each step and the footer."""
+    steps: list[ProofStep] = []
+    footer = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("theory"):
+            if steps or footer is not None:
+                raise ProofSyntaxError("theory header must come first", line_no, 1)
+            if theory is None:
+                theory = parse_theory((Path(base_dir) / line[len("theory"):].strip()).read_text())
+            continue
+        if line.startswith("conclude"):
+            if footer is not None:
+                raise ProofSyntaxError("duplicate conclude footer", line_no, 1)
+            footer = (line[len("conclude"):].strip(), line_no)
+            continue
+        if theory is None:
+            raise ProofSyntaxError("no theory header before first step", line_no, 1)
+        if footer is not None:
+            raise ProofSyntaxError("steps after conclude footer", line_no, 1)
+        steps.append(_reference_step(theory, line, line_no))
+    if theory is None or footer is None:
+        raise ProofSyntaxError("proof has no theory or no conclude footer", 1, 1)
+    footer_text, footer_line = footer
+    close = footer_text.find(")")
+    concluded_text = footer_text[1:close].strip()
+    if not footer_text.startswith("(") or close < 0 or not concluded_text.isdigit():
+        raise ProofSyntaxError("bad concluded step id", footer_line, 1)
+    claimed: dict[str, tuple[int, ...]] = {"global": (), "local": ()}
+    for f in footer_text[close + 1:].split():
+        key, eq, value = f.partition("=")
+        if not eq or key not in claimed:
+            raise ProofSyntaxError(f"bad footer field {f!r}", footer_line, 1)
+        claimed[key] = _reference_ids(value, footer_line)
+    return ProofScript(
+        theory, tuple(steps), int(concluded_text), frozenset(claimed["global"]), frozenset(claimed["local"])
+    )
+
+
+# the six fixture proofs, read against their theory files, and the bench's
+# glue proofs for n = 2 to 6 with distinct and with shared variables
+PROOF_CORPUS = {p.name: (p.read_text(), None) for p in sorted(FIXTURES.glob("*.proof"))}
+for n in range(2, 7):
+    preds, concl = [f"p{k}" for k in range(n)], [f"s{k}" for k in range(n)]
+    for tag, vars_ in (("", [f"v{k}" for k in range(n)]), ("s", ["v"] * n)):
+        theory, proof = generators.glue_proof(n, preds, concl, vars_)
+        PROOF_CORPUS[f"glue{n}{tag}"] = (proof, parse_theory(theory))
+
+
+def both_parses(text: str, theory):
+    return (
+        _reference_parse_proof_script(text, theory=theory, base_dir=FIXTURES),
+        parse_proof_script(text, theory=theory, base_dir=FIXTURES),
+    )
+
+
+@pytest.mark.parametrize("name", PROOF_CORPUS)
+def test_token_parser_matches_the_line_parser(name):
+    reference, script = both_parses(*PROOF_CORPUS[name])
+    assert script == reference and script.steps
+
+
+def respaced(rng, text: str) -> str:
+    """text with each run of spaces redrawn, lines indented and trailed by
+    whitespace or a comment, and blank or comment lines put in between."""
+
+    def ws(least: int) -> str:
+        return "".join(rng.choice(" \t") for _ in range(rng.randint(least, 3)))
+
+    def comment() -> str:
+        return rng.choice(["", "#", "# theory x.dfol", "#(1) ; rule=axiom", "## conclude (1)"])
+
+    lines = []
+    for line in text.splitlines():
+        if rng.random() < 0.2:
+            lines.append(ws(0) + comment())
+        words = line.split(" ")
+        body = words[0] + "".join(ws(1) + w for w in words[1:])
+        lines.append(ws(0) + body + ws(0) + comment())
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(PROOF_CORPUS)), st.integers(0, 2**32))
+def test_token_parser_matches_the_line_parser_respaced(name, seed):
+    text, theory = PROOF_CORPUS[name]
+    reference, script = both_parses(respaced(random.Random(seed), text), theory)
+    assert script == reference

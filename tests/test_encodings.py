@@ -200,6 +200,20 @@ def test_repeats_of_one_symbol_collapse():
     assert encode_text("qlc", text).theory.signatures["k2"].consts == ("a", "a2", "k2")
 
 
+def test_qml_keeps_completeness_at_every_index():
+    enc = encode_text("qml", "signature { const a; complete pred p/1; }\nformula box box p(a)\n")
+    assert enc.theory.indices == ("0", "1", "2")
+    assert all(sig.is_complete("pred", "p") for sig in enc.theory.signatures.values())
+
+
+def test_qlc_writes_each_rigid_designator_rule_once():
+    # the context a is also a declared constant: one rule per direction for
+    # each of a and k2, plus the entering and the exiting rule of ist(a, p(a))
+    text = "contexts a, k2\nsignature { const a; pred p/1; }\nformula k2: ist(a, p(a))\n"
+    written = [r for r in encode_text("qlc", text).theory.rules if r.origin is None]
+    assert len(written) == len(set(written)) == 6
+
+
 def test_a_context_name_reads_as_a_constant():
     text = "contexts k1, k2\nsignature { pred p/1; }\nformula k1: ist(k2, p(k2))\n"
     (ax,) = encode_text("qlc", text).theory.axioms

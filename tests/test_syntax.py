@@ -42,6 +42,7 @@ from dfol.syntax import (
     rebuild,
     render,
     render_formula,
+    render_term,
     render_theory,
     substitute,
     tokenize,
@@ -312,6 +313,7 @@ _LEXEMES = st.one_of(
 @example("p(x)  # trailing comment")
 @example("index 1\n  # only a comment")
 @example("a $")
+@example("p(x) \t\r")
 def test_tokenize_matches_the_reference_tokenizer(text):
     assert _lexed(tokenize, text) == _lexed(_reference_tokenize, text)
 
@@ -470,6 +472,40 @@ def formulas(depth: int = 3):
 @given(formulas())
 def test_parse_render_round_trip(phi):
     assert parse_formula(TWO_INDEX, "1", render_formula(phi)) == phi
+
+
+def _reference_render(f, ctx: int = 0) -> str:
+    """The recursive renderer that render_formula's stack walk replaced."""
+    if isinstance(f, Falsum):
+        return "false"
+    if isinstance(f, Atom):
+        return f"{f.pred}({', '.join(render_term(a) for a in f.args)})" if f.args else f.pred
+    if isinstance(f, Eq):
+        return f"{render_term(f.lhs)} = {render_term(f.rhs)}"
+    if isinstance(f, Not):
+        return f"~{_reference_render(f.body, 4)}"
+    if isinstance(f, (Forall, Exists)):
+        kw = "forall" if isinstance(f, Forall) else "exists"
+        text = f"{kw} {f.var}. {_reference_render(f.body, 0)}"
+        return f"({text})" if ctx > 0 else text
+    prec, op = {Implies: (1, "->"), Or: (2, "|"), And: (3, "&")}[type(f)]
+    text = f"{_reference_render(f.lhs, prec + 1)} {op} {_reference_render(f.rhs, prec)}"
+    return f"({text})" if ctx > prec else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(4))
+def test_render_matches_the_recursive_renderer(phi):
+    assert render_formula(phi) == _reference_render(phi)
+
+
+@pytest.mark.parametrize("n", [1000, 10000])
+def test_long_and_chains_render(n):
+    atoms = [Atom("p", (Const("c"),)), Atom("r")] * (n // 2)
+    chain = atoms[-1]
+    for a in reversed(atoms[:-1]):
+        chain = And(a, chain)
+    assert render_formula(chain) == " & ".join(["p(c) & r"] * (n // 2))
 
 
 def formulas_at_2(depth: int = 2):
