@@ -24,6 +24,22 @@ Key notions, all relative to a script's concluding step:
   the major premise of a cross index ``cut``/``orE``/``exE``; all other
   assumptions are global.
 
+One table fixes, for every rule, how many premises it takes and where
+they sit.  ``assumption`` and ``axiom`` take none.  ``impI``, ``andE``,
+``orI``, ``botI``, ``allI``, ``allE`` and ``exI`` take one premise, and
+``impE``, ``andI`` and ``eqE`` two, at the step's own index; ``eqI``
+and ``local-lemma`` take any number there.  ``cut`` and ``exE`` take a
+major premise and one minor, ``orE`` a major premise and two minors:
+the major anywhere, the minors at the step's index.  ``fromII`` and
+``toII`` take one premise at another index, and ``BR`` the premises of
+its bridge rule, at the indices that rule names.  Only ``impI``,
+``botI``, ``orE``, ``exE`` and ``cut`` discharge assumptions, and a
+discharged assumption copies, at the first premise's index, the
+antecedent of the conclusion (``impI``, ``botI``), a disjunct of the
+major premise (``orE``), its body (``exE``) or the major premise itself
+(``cut``).  These columns are checked alike for every step; each rule
+then adds only its own schema.
+
 The ``local-lemma`` pseudo rule compresses classical reasoning inside
 one index: it accepts a step when the bundled bounded prover derives
 the conclusion from the cited premises together with the arrow free
@@ -59,6 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .prover import DEFAULT_GAMMA_ROUNDS, DEFAULT_MAX_STEPS, tableau_valid
 from .syntax import (
@@ -110,29 +127,55 @@ __all__ = [
 ]
 
 
-LEAF_RULES = {"assumption", "axiom"}
-LOCAL_RULES = {
-    "impI",
-    "impE",
-    "andI",
-    "andE",
-    "orI",
-    "orE",
-    "botI",
-    "allI",
-    "allE",
-    "exI",
-    "exE",
-    "eqI",
-    "eqE",
-    "cut",
-    "local-lemma",
+@dataclass(frozen=True)
+class _Rule:
+    """A row of the rule table: premise count (None for any number, or
+    for ``BR`` its bridge rule's); where the premises sit (``own`` index,
+    ``major`` anywhere and minors at the own index, ``other`` index, or as
+    the ``bridge`` rule says); both in words; whether a side may be named;
+    for a discharging rule, the formulas a discharged assumption may copy,
+    given the conclusion and the major premise, and those in words."""
+
+    arity: int | None
+    placement: str
+    takes: str
+    sided: bool = False
+    hypotheses: Callable[[Formula, Formula], tuple[Formula, ...]] | None = None
+    discharges: str = ""
+
+
+def _antecedent(f: Formula, major: Formula) -> tuple[Formula, ...]:
+    return (_as_implication(f)[0],)
+
+
+_ONE, _TWO = "one premise at its own index", "two premises at its own index"
+_MINOR = "a major premise and one minor at its own index"
+_RULES: dict[str, _Rule] = {
+    "assumption": _Rule(0, "own", "no premises"),
+    "axiom": _Rule(0, "own", "no premises"),
+    "impI": _Rule(1, "own", _ONE, hypotheses=_antecedent, discharges="copies of its hypothesis"),
+    "impE": _Rule(2, "own", _TWO),
+    "andI": _Rule(2, "own", _TWO),
+    "andE": _Rule(1, "own", _ONE, sided=True),
+    "orI": _Rule(1, "own", _ONE, sided=True),
+    "orE": _Rule(3, "major", "a major premise and two minors at its own index",
+                 hypotheses=lambda f, major: (major.lhs, major.rhs),
+                 discharges="copies of the disjuncts"),
+    "botI": _Rule(1, "own", _ONE, hypotheses=_antecedent, discharges="copies of its hypothesis"),
+    "allI": _Rule(1, "own", _ONE),
+    "allE": _Rule(1, "own", _ONE),
+    "exI": _Rule(1, "own", _ONE),
+    "exE": _Rule(2, "major", _MINOR,
+                 hypotheses=lambda f, major: (major.body,), discharges="the opened body"),
+    "eqI": _Rule(None, "own", "premises at its own index"),
+    "eqE": _Rule(2, "own", _TWO),
+    "cut": _Rule(2, "major", _MINOR,
+                 hypotheses=lambda f, major: (major,), discharges="copies of its major premise"),
+    "local-lemma": _Rule(None, "own", "premises at its own index"),
+    "BR": _Rule(None, "bridge", "the premises of its bridge rule"),
+    "fromII": _Rule(1, "other", "one premise at another index"),
+    "toII": _Rule(1, "other", "one premise at another index"),
 }
-INTERFACE_RULES = {"BR", "fromII", "toII"}
-# rules that may glue different indices through their major premise
-CROSS_RULES = {"cut", "orE", "exE"}
-# rules that may close assumptions
-DISCHARGING_RULES = {"impI", "botI", "orE", "exE", "cut"}
 
 
 @dataclass(frozen=True)
@@ -149,7 +192,8 @@ class RuleId:
     br_ref: int | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in LEAF_RULES | LOCAL_RULES | INTERFACE_RULES:
+        rule = _RULES.get(self.name)
+        if rule is None:
             raise ValueError(f"unknown rule {self.name!r}")
         if self.side is not None and self.side not in ("left", "right"):
             raise ValueError(f"bad rule side {self.side!r}")
@@ -157,6 +201,8 @@ class RuleId:
             raise ValueError("BR needs a 1-based bridge rule reference")
         if self.name != "BR" and self.br_ref is not None:
             raise ValueError(f"{self.name} takes no bridge rule reference")
+        if self.side is not None and not rule.sided:
+            raise ValueError(f"{self.name} takes no side")
 
     def __str__(self) -> str:
         if self.br_ref is not None:
@@ -466,6 +512,11 @@ def _match_renaming(
     return _match(pattern, target, rename)
 
 
+def _mentions_arrow(f: Formula, x: str, home: str) -> bool:
+    """Does f hold an arrow variable standing for variable x of index home?"""
+    return any(av.base == x and av.foreign == home for av in arrow_vars(f))
+
+
 def _as_implication(f: Formula) -> tuple[Formula, Formula] | None:
     """Implication view of f; negation reads as implying falsum."""
     if isinstance(f, Implies):
@@ -493,9 +544,6 @@ class _Checker:
 
     # -- plumbing -----------------------------------------------------------
 
-    def fail(self, step: ProofStep | None, code: str, message: str) -> CheckResult:
-        return CheckResult.violation(step.id if step else None, code, message)
-
     def arrows_of(self, sid: int) -> frozenset[ArrowVar]:
         return frozenset(arrow_vars(self.by_id[sid].formula.formula))
 
@@ -505,24 +553,18 @@ class _Checker:
             anchored |= self.arrows_of(a)
         return self.arrows_of(sid) - anchored
 
-    def is_assumption(self, sid: int) -> bool:
-        return self.by_id[sid].rule.name == "assumption"
-
     def complete(self, step: ProofStep) -> bool:
         sig = self.theory.signature(step.index)
         return is_complete_formula(sig, step.formula.formula)
 
     def premise_edges(self, step: ProofStep) -> list[tuple[int, bool]]:
-        """(premise id, preserves locality) pairs for the step."""
-        if step.rule.name in INTERFACE_RULES:
-            return [(p, False) for p in step.premises]
-        if step.rule.name in CROSS_RULES and step.premises:
-            major = self.by_id[step.premises[0]]
-            cross = major.index != step.index
-            return [(step.premises[0], not cross)] + [
-                (p, True) for p in step.premises[1:]
-            ]
-        return [(p, True) for p in step.premises]
+        """(premise id, preserves locality) pairs for the step: an
+        interface rule's edges never do, a cross index major's neither."""
+        placement = _RULES[step.rule.name].placement
+        edges = [(p, placement in ("own", "major")) for p in step.premises]
+        if placement == "major" and edges:
+            edges[0] = (step.premises[0], self.by_id[step.premises[0]].index == step.index)
+        return edges
 
     def compute_locality(self) -> None:
         root = self.by_id.get(self.script.concluded)
@@ -555,59 +597,71 @@ class _Checker:
     def shape_error(self, step: ProofStep) -> str | None:
         """None if the step instantiates its rule schema, else a message."""
         name = step.rule.name
+        rule = _RULES[name]
         prem = [self.by_id[p] for p in step.premises]
+        arity = rule.arity
+        if name == "BR":
+            if step.rule.br_ref > len(self.theory.rules):
+                return f"theory has no bridge rule {step.rule.br_ref}"
+            arity = len(self.theory.rules[step.rule.br_ref - 1].premises)
+        at_own = [p.index == step.index for p in prem]
+        if (
+            arity is not None and len(prem) != arity
+            or rule.placement == "own" and not all(at_own)
+            or rule.placement == "major" and not all(at_own[1:])
+            or rule.placement == "other" and any(at_own)
+        ):
+            return f"{name} takes {rule.takes}"
+        if step.discharged and rule.hypotheses is None:
+            return f"{name} discharges no assumptions"
+        err = self.schema_error(step, prem)
+        if err is not None or not step.discharged:
+            return err
+        major = prem[0]
+        hypotheses = rule.hypotheses(step.formula.formula, major.formula.formula)
+        for d in step.discharged:
+            hyp = self.by_id[d].formula
+            if hyp.index != major.index or hyp.formula not in hypotheses:
+                return f"{name} discharges {rule.discharges}"
+        return None
+
+    def schema_error(self, step: ProofStep, prem: list[ProofStep]) -> str | None:
+        """The rule's own schema, for a step whose premise count and
+        placement the table has already checked."""
+        name = step.rule.name
         f = step.formula.formula
         i = step.index
+        got = [p.formula.formula for p in prem]
 
-        def same_index(*steps: ProofStep) -> bool:
-            return all(s.index == i for s in steps)
-
-        if name in LEAF_RULES:
-            if step.premises or step.discharged:
-                return f"{name} takes no premises"
-            if name == "axiom":
-                if step.formula not in self.theory.axioms:
-                    return "axiom step does not match any theory axiom"
+        if name in ("assumption", "axiom"):
+            if name == "axiom" and step.formula not in self.theory.axioms:
+                return "axiom step does not match any theory axiom"
             return None
-
-        if name != "local-lemma" and name in LOCAL_RULES and not prem:
-            if name != "eqI":
-                return f"{name} needs premises"
 
         if name == "impI":
             view = _as_implication(f)
             if view is None:
                 return "impI must conclude an implication"
-            a, b = view
-            if len(prem) != 1 or not same_index(prem[0]):
-                return "impI takes one premise at its own index"
-            if prem[0].formula.formula != b:
+            if got[0] != view[1]:
                 return "impI premise must be the consequent"
-            return self._discharge_shape(step, a, i)
+            return None
 
         if name == "impE":
-            if len(prem) != 2 or not same_index(*prem):
-                return "impE takes two premises at its own index"
-            for maj, minor in (prem, reversed(prem)):
-                view = _as_implication(maj.formula.formula)
-                if view and minor.formula.formula == view[0] and f == view[1]:
+            for maj, minor in (got, got[::-1]):
+                view = _as_implication(maj)
+                if view and minor == view[0] and f == view[1]:
                     return None
             return "impE premises must be an implication and its antecedent"
 
         if name == "andI":
             if not isinstance(f, And):
                 return "andI must conclude a conjunction"
-            if len(prem) != 2 or not same_index(*prem):
-                return "andI takes two premises at its own index"
-            got = (prem[0].formula.formula, prem[1].formula.formula)
-            if got not in ((f.lhs, f.rhs), (f.rhs, f.lhs)):
+            if tuple(got) not in ((f.lhs, f.rhs), (f.rhs, f.lhs)):
                 return "andI premises must be the two conjuncts"
             return None
 
         if name == "andE":
-            if len(prem) != 1 or not same_index(prem[0]):
-                return "andE takes one premise at its own index"
-            src = prem[0].formula.formula
+            src = got[0]
             if not isinstance(src, And):
                 return "andE premise must be a conjunction"
             sides = {"left": src.lhs, "right": src.rhs}
@@ -618,58 +672,35 @@ class _Checker:
         if name == "orI":
             if not isinstance(f, Or):
                 return "orI must conclude a disjunction"
-            if len(prem) != 1 or not same_index(prem[0]):
-                return "orI takes one premise at its own index"
-            src = prem[0].formula.formula
             sides = {"left": f.lhs, "right": f.rhs}
             if step.rule.side is not None:
-                return None if src == sides[step.rule.side] else "orI side mismatch"
-            return None if src in sides.values() else "orI premise is neither disjunct"
+                return None if got[0] == sides[step.rule.side] else "orI side mismatch"
+            return None if got[0] in sides.values() else "orI premise is neither disjunct"
 
         if name == "orE":
-            if len(prem) != 3:
-                return "orE takes a major premise and two minors"
-            major, m1, m2 = prem
-            src = major.formula.formula
-            if not isinstance(src, Or):
+            if not isinstance(got[0], Or):
                 return "orE major premise must be a disjunction"
-            if not same_index(m1, m2):
-                return "orE minors must sit at the conclusion index"
-            if m1.formula.formula != f or m2.formula.formula != f:
+            if got[1] != f or got[2] != f:
                 return "orE minors must both conclude the conclusion formula"
-            for d in step.discharged:
-                ds = self.by_id[d]
-                if not self.is_assumption(d):
-                    return "orE discharges assumptions only"
-                if ds.index != major.index or ds.formula.formula not in (src.lhs, src.rhs):
-                    return "orE discharges copies of the disjuncts"
             return None
 
         if name == "botI":
-            if not isinstance(f, (Not, Implies)):
-                return "botI must conclude a negation"
             view = _as_implication(f)
             if view is None or view[1] != Falsum():
                 return "botI must conclude a negation"
-            if len(prem) != 1 or not same_index(prem[0]):
-                return "botI takes one premise at its own index"
-            if prem[0].formula.formula != Falsum():
+            if got[0] != Falsum():
                 return "botI premise must be falsum"
-            return self._discharge_shape(step, view[0], i)
+            return None
 
         if name == "allI":
             if not isinstance(f, Forall):
                 return "allI must conclude a universal"
-            if len(prem) != 1 or not same_index(prem[0]):
-                return "allI takes one premise at its own index"
-            if prem[0].formula.formula != f.body:
+            if got[0] != f.body:
                 return "allI premise must be the body"
             return None
 
         if name == "allE":
-            if len(prem) != 1 or not same_index(prem[0]):
-                return "allE takes one premise at its own index"
-            src = prem[0].formula.formula
+            src = got[0]
             if not isinstance(src, Forall):
                 return "allE premise must be a universal"
             if _match_hole(src.body, src.var, f):
@@ -679,80 +710,42 @@ class _Checker:
         if name == "exI":
             if not isinstance(f, Exists):
                 return "exI must conclude an existential"
-            if len(prem) != 1 or not same_index(prem[0]):
-                return "exI takes one premise at its own index"
-            if _match_hole(f.body, f.var, prem[0].formula.formula):
+            if _match_hole(f.body, f.var, got[0]):
                 return None
             return "exI premise is not an instance of the body"
 
         if name == "exE":
-            if len(prem) != 2:
-                return "exE takes a major premise and one minor"
-            major, minor = prem
-            src = major.formula.formula
-            if not isinstance(src, Exists):
+            if not isinstance(got[0], Exists):
                 return "exE major premise must be an existential"
-            if minor.index != i or minor.formula.formula != f:
+            if got[1] != f:
                 return "exE minor must conclude the conclusion formula"
-            for d in step.discharged:
-                ds = self.by_id[d]
-                if not self.is_assumption(d):
-                    return "exE discharges assumptions only"
-                if ds.index != major.index or ds.formula.formula != src.body:
-                    return "exE discharges the opened body"
             return None
 
         if name == "eqI":
             if not isinstance(f, Eq) or f.lhs != f.rhs:
                 return "eqI must conclude t = t"
-            if not same_index(*prem):
-                return "eqI premises must sit at its own index"
-            t_arrows = term_arrow_vars(f.lhs)
-            cited: set[ArrowVar] = set()
-            for p in prem:
-                cited |= arrow_vars(p.formula.formula)
-            if not t_arrows <= cited:
+            if not term_arrow_vars(f.lhs) <= set().union(*map(arrow_vars, got)):
                 return "every arrow variable of t needs a premise occurrence"
             return None
 
         if name == "eqE":
-            if len(prem) != 2 or not same_index(*prem):
-                return "eqE takes two premises at its own index"
-            for eq_step, base in (prem, reversed(prem)):
-                eq_f = eq_step.formula.formula
+            for eq_f, before in (got, got[::-1]):
                 if not isinstance(eq_f, Eq):
                     continue
-                before = base.formula.formula
                 for t, u in ((eq_f.lhs, eq_f.rhs), (eq_f.rhs, eq_f.lhs)):
                     if _rewrite_ok(before, f, t, u):
                         return None
             return "eqE conclusion is not an equality rewrite of the premise"
 
         if name == "cut":
-            if len(prem) != 2:
-                return "cut takes a major premise and one minor"
-            major, minor = prem
-            if minor.index != i or minor.formula.formula != f:
+            if got[1] != f:
                 return "cut minor must conclude the conclusion formula"
-            for d in step.discharged:
-                ds = self.by_id[d]
-                if not self.is_assumption(d):
-                    return "cut discharges assumptions only"
-                if ds.index != major.index or ds.formula.formula != major.formula.formula:
-                    return "cut discharges copies of its major premise"
             return None
 
         if name == "local-lemma":
-            if not same_index(*prem):
-                return "local-lemma premises must sit at its own index"
-            axioms = [
-                ax.formula
-                for ax in self.theory.local_axioms(i)
-                if not arrow_vars(ax.formula)
-            ]
-            obligations = [p.formula.formula for p in prem] + axioms
+            axioms = self.theory.local_axioms(i)
             if tableau_valid(
-                obligations,
+                got + [ax.formula for ax in axioms if not arrow_vars(ax.formula)],
                 f,
                 gamma_rounds=self.config.lemma_gamma_rounds,
                 max_steps=self.config.lemma_max_steps,
@@ -761,18 +754,12 @@ class _Checker:
             return "local-lemma obligation not discharged within the prover budget"
 
         if name == "BR":
-            ref = step.rule.br_ref
-            assert ref is not None
-            if ref > len(self.theory.rules):
-                return f"theory has no bridge rule {ref}"
-            rule = self.theory.rules[ref - 1]
-            if len(prem) != len(rule.premises):
-                return "BR premise count mismatch"
+            rule = self.theory.rules[step.rule.br_ref - 1]
             sigma: dict[str, str] = {}
-            for got, want in zip(prem, rule.premises):
-                if got.index != want.index:
+            for p, want in zip(prem, rule.premises):
+                if p.index != want.index:
                     return "BR premise index mismatch"
-                if not _match_renaming(want.formula, got.formula.formula, sigma):
+                if not _match_renaming(want.formula, p.formula.formula, sigma):
                     return "BR premises do not instantiate the rule"
             if i != rule.conclusion.index:
                 return "BR conclusion index mismatch"
@@ -780,61 +767,42 @@ class _Checker:
                 return "BR conclusion does not instantiate the rule"
             return None
 
-        if name in ("fromII", "toII"):
-            if len(prem) != 1:
-                return f"{name} takes one premise"
-            src = prem[0].formula.formula
-            j = prem[0].index
-            if j == i:
-                return f"{name} must cross indices"
-            if not isinstance(src, Eq) or not isinstance(f, Eq):
-                return f"{name} connects two equalities"
-            want_dir = ">" if name == "fromII" else "<"
-            out_dir = "<" if name == "fromII" else ">"
+        # fromII and toII
+        src = got[0]
+        j = prem[0].index
+        if not isinstance(src, Eq) or not isinstance(f, Eq):
+            return f"{name} connects two equalities"
+        want_dir, out_dir = (">", "<") if name == "fromII" else ("<", ">")
 
-            def split(eq: Eq, dir_: str, foreign: str):
-                for a, b in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
-                    if (
-                        isinstance(a, Var)
-                        and isinstance(b, ArrowVar)
-                        and b.direction == dir_
-                        and b.foreign == foreign
-                    ):
+        def split(eq: Eq, dir_: str, foreign: str):
+            for a, b in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
+                if type(a) is Var and type(b) is ArrowVar:
+                    if (b.direction, b.foreign) == (dir_, foreign):
                         return (a.name, b.base, b.label)
-                return None
-
-            got = split(src, want_dir, i)
-            if got is None:
-                return f"{name} premise must equate a variable with its {want_dir} counterpart"
-            x, y, label = got
-            want = split(f, out_dir, j)
-            if want is None:
-                return f"{name} conclusion must equate a variable with its {out_dir} counterpart"
-            # the roles swap: premise x = arrow-of-y turns into
-            # arrow-of-x = y at the other index
-            if want != (y, x, label):
-                return f"{name} conclusion must swap the equated pair"
             return None
 
-        return f"unsupported rule {name}"
-
-    def _discharge_shape(self, step: ProofStep, hypothesis: Formula, index: str) -> str | None:
-        for d in step.discharged:
-            ds = self.by_id[d]
-            if not self.is_assumption(d):
-                return f"{step.rule.name} discharges assumptions only"
-            if ds.index != index or ds.formula.formula != hypothesis:
-                return f"{step.rule.name} discharges copies of its hypothesis"
+        pair = split(src, want_dir, i)
+        if pair is None:
+            return f"{name} premise must equate a variable with its {want_dir} counterpart"
+        x, y, label = pair
+        want = split(f, out_dir, j)
+        if want is None:
+            return f"{name} conclusion must equate a variable with its {out_dir} counterpart"
+        # the roles swap: premise x = arrow-of-y turns into
+        # arrow-of-x = y at the other index
+        if want != (y, x, label):
+            return f"{name} conclusion must swap the equated pair"
         return None
 
     # -- restrictions ---------------------------------------------------------
 
     def restriction_error(self, step: ProofStep) -> tuple[str, str] | None:
         name = step.rule.name
+        placement = _RULES[name].placement
         prem = [self.by_id[p] for p in step.premises]
 
         # R1: only cut, orE, and exE may consume existential variables
-        if name not in CROSS_RULES:
+        if placement != "major":
             for p in prem:
                 ex = self.existential(p.id)
                 if ex:
@@ -845,7 +813,7 @@ class _Checker:
                     )
 
         # R2: only interface rules introduce new existential variables
-        if name in ("fromII", "toII"):
+        if placement == "other":
             f = step.formula.formula
             assert isinstance(f, Eq)
             arrow = f.lhs if isinstance(f.lhs, ArrowVar) else f.rhs
@@ -855,7 +823,7 @@ class _Checker:
                     "R2",
                     f"{render_term(arrow)} must be existential in the conclusion",
                 )
-        elif name != "BR":
+        elif placement != "bridge":
             inherited: set[ArrowVar] = set()
             for p in prem:
                 inherited |= self.arrows_of(p.id)
@@ -886,7 +854,7 @@ class _Checker:
 
         # R4: the major's existential variables stay out of the other
         # assumptions employed to derive the minors
-        if name in CROSS_RULES and prem:
+        if placement == "major":
             major = prem[0]
             ex_major = self.existential(major.id)
             if ex_major:
@@ -912,10 +880,7 @@ class _Checker:
                 af = self.by_id[a].formula
                 if af.index == step.index and x in free_plain_vars(af.formula):
                     return ("R5", f"variable {x} is free in assumption ({a})")
-                if af.index != step.index and any(
-                    av.base == x and av.foreign == step.index
-                    for av in arrow_vars(af.formula)
-                ):
+                if af.index != step.index and _mentions_arrow(af.formula, x, step.index):
                     return (
                         "R5",
                         f"an arrow variable of {x} towards this index occurs in assumption ({a})",
@@ -936,20 +901,11 @@ class _Checker:
             if j == i:
                 if x in free_plain_vars(step.formula.formula):
                     return ("R6", f"witness {x} is free in the conclusion")
+            elif _mentions_arrow(step.formula.formula, x, j):
+                return ("R6", f"an arrow variable of witness {x} occurs in the conclusion")
             else:
-                arrows_out = [
-                    av
-                    for av in arrow_vars(step.formula.formula)
-                    if av.base == x and av.foreign == j
-                ]
-                if arrows_out:
-                    return ("R6", f"an arrow variable of witness {x} occurs in the conclusion")
                 for a in open_deps:
-                    af = self.by_id[a].formula
-                    if any(
-                        av.base == x and av.foreign == j
-                        for av in arrow_vars(af.formula)
-                    ):
+                    if _mentions_arrow(self.by_id[a].formula.formula, x, j):
                         return (
                             "R6",
                             f"an arrow variable of witness {x} occurs in assumption ({a})",
@@ -963,14 +919,14 @@ class _Checker:
         last = 0
         for step in self.script.steps:
             if step.id <= last:
-                return self.fail(step, "ref", "step ids must increase")
+                return CheckResult.violation(step.id, "ref", "step ids must increase")
             last = step.id
             for p in step.premises + step.discharged:
                 if p not in self.by_id:
-                    return self.fail(step, "ref", f"reference to missing step ({p})")
+                    return CheckResult.violation(step.id, "ref", f"reference to missing step ({p})")
             for d in step.discharged:
-                if not self.is_assumption(d):
-                    return self.fail(step, "ref", f"({d}) is not an assumption")
+                if self.by_id[d].rule.name != "assumption":
+                    return CheckResult.violation(step.id, "ref", f"({d}) is not an assumption")
             self.by_id[step.id] = step
             if step.rule.name == "assumption":
                 self.dep[step.id] = frozenset({step.id})
@@ -989,10 +945,10 @@ class _Checker:
         for step in self.script.steps:
             err = self.shape_error(step)
             if err is not None:
-                return self.fail(step, "shape", err)
+                return CheckResult.violation(step.id, "shape", err)
             hit = self.restriction_error(step)
             if hit is not None:
-                return self.fail(step, hit[0], hit[1])
+                return CheckResult.violation(step.id, hit[0], hit[1])
 
         claimed_g = self.script.claimed_global
         claimed_l = self.script.claimed_local
@@ -1031,11 +987,14 @@ def check_proof(script: ProofScript, *, config: CheckConfig | None = None) -> Ch
 
 def assumption_status(script: ProofScript, step_id: int) -> str:
     """``local`` or ``global`` for an assumption step, relative to the
-    script's concluding step."""
+    script's concluding step; ValueError if either step is missing."""
     checker = _Checker(script, CheckConfig())
     checker.run()
-    step = script.step(step_id)
-    if step.rule.name != "assumption":
+    if step_id not in checker.by_id:
+        raise ValueError(f"step ({step_id}) was not checkable")
+    if script.concluded not in checker.by_id:
+        raise ValueError(f"concluded step ({script.concluded}) is missing")
+    if checker.by_id[step_id].rule.name != "assumption":
         raise ValueError(f"step ({step_id}) is not an assumption")
     return "local" if checker.is_local(step_id) else "global"
 

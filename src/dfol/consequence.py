@@ -47,6 +47,7 @@ from .semantics import (
     _relation_key,
     _rule_plan,
     _RulePlan,
+    check_theory,
     satisfies_bridge_rule,
     validate_model,
 )
@@ -410,11 +411,6 @@ class _StagedSearch:
                 )
 
 
-def _is_theory_model(T: Theory, M: DfolModel) -> bool:
-    plans = [_axiom_plan(ax) for ax in T.axioms] + [_rule_plan(r) for r in T.rules]
-    return all(plan.check(M)[0] for plan in plans)
-
-
 def _labels_of(T: Theory) -> list[str | None]:
     labels: set[str | None] = {None}
     for lf in list(T.axioms) + [
@@ -507,7 +503,7 @@ def _revalidate(
     problems = validate_model(T, M)
     if problems:
         raise RuntimeError(f"counterexample fails validation: {problems[0]}")
-    if not _is_theory_model(T, M):
+    if not check_theory(T, M).ok:
         raise RuntimeError("counterexample does not satisfy the theory")
     ok, found = satisfies_bridge_rule(M, query)
     if ok:

@@ -78,6 +78,16 @@ def test_rule_id_forms():
         parse_rule_id("andE:middle")
 
 
+def test_rule_id_side_only_for_andE_and_orI():
+    assert parse_rule_id("orI:right").side == "right"
+    for text in ("impI:left", "cut:right", "assumption:left"):
+        with pytest.raises(ValueError, match="takes no side"):
+            parse_rule_id(text)
+    with pytest.raises(ProofSyntaxError, match="assumption takes no side") as err:
+        mk("(1) 1: p(c) ; rule=assumption:left\nconclude (1) global=1 local=")
+    assert (err.value.line, err.value.col) == (1, 20)
+
+
 def test_parse_step_fields():
     s = mk(
         """
@@ -749,6 +759,37 @@ def test_axiom_leaf():
     assert (r.step, r.code) == (1, "shape")
 
 
+# each rule that may not discharge, in a well formed step: the steps, an
+# assumption to discharge, and the concluding step's dependencies
+NO_DISCHARGE = {
+    "impE": ("(1) 1: p(c) -> q(c) ; rule=assumption\n(2) 1: p(c) ; rule=assumption\n"
+             "(3) 1: q(c) ; rule=impE ; from=1,2", 2, "1,2"),
+    "andI": ("(1) 1: p(c) ; rule=assumption\n(2) 1: p(c) & p(c) ; rule=andI ; from=1,1", 1, "1"),
+    "andE": ("(1) 1: p(c) & q(c) ; rule=assumption\n(2) 1: p(c) ; rule=andE:left ; from=1", 1, "1"),
+    "orI": ("(1) 1: p(c) ; rule=assumption\n(2) 1: p(c) | q(c) ; rule=orI:left ; from=1", 1, "1"),
+    "allI": ("(1) 1: forall x. p(x) ; rule=assumption\n(2) 1: p(x) ; rule=allE ; from=1\n"
+             "(3) 1: forall x. p(x) ; rule=allI ; from=2", 1, "1"),
+    "allE": ("(1) 1: forall x. p(x) ; rule=assumption\n(2) 1: p(c) ; rule=allE ; from=1", 1, "1"),
+    "exI": ("(1) 1: p(c) ; rule=assumption\n(2) 1: exists x. p(x) ; rule=exI ; from=1", 1, "1"),
+    "eqI": ("(1) 1: p(c) ; rule=assumption\n(2) 1: c = c ; rule=eqI ; from=1", 1, "1"),
+    "eqE": ("(1) 1: p(c) ; rule=assumption\n(2) 1: c = d ; rule=assumption\n"
+            "(3) 1: p(d) ; rule=eqE ; from=1,2", 2, "1,2"),
+    "local-lemma": ("(1) 1: p(c) ; rule=assumption\n(2) 1: q(c) ; rule=local-lemma ; from=1", 1, "1"),
+    "BR": ("(1) 1: p(x) ; rule=assumption\n(2) 2: s(x^<1) ; rule=BR:1 ; from=1", 1, "1"),
+    "fromII": ("(1) 1: x = y^>2 ; rule=assumption\n(2) 2: x^<1 = y ; rule=fromII ; from=1", 1, "1"),
+    "toII": ("(1) 1: y^<2 = x ; rule=assumption\n(2) 2: x^>1 = y ; rule=toII ; from=1", 1, "1"),
+}
+
+
+@pytest.mark.parametrize("rule", NO_DISCHARGE)
+def test_only_discharging_rules_discharge(rule):
+    steps, discharged, deps = NO_DISCHARGE[rule]
+    last = steps.count("\n") + 1
+    assert check_proof(mk(f"{steps}\nconclude ({last}) global={deps} local=")).ok
+    r = violation(f"{steps} ; discharge={discharged}\nconclude ({last}) global= local=")
+    assert (r.step, r.code, r.message) == (last, "shape", f"{rule} discharges no assumptions")
+
+
 # ---------------------------------------------------------------------------
 # References and footer bookkeeping
 # ---------------------------------------------------------------------------
@@ -801,6 +842,15 @@ def test_footer_rejects_global_claimed_as_local():
     assert (r.step, r.code) == (2, "conclusion")
 
 
+def test_assumption_status_of_missing_steps():
+    script = mk("(1) 1: p(c) ; rule=assumption\nconclude (5) global=1 local=")
+    with pytest.raises(ValueError, match=r"concluded step \(5\) is missing"):
+        assumption_status(script, 1)
+    script = mk("(1) 1: p(c) ; rule=assumption\nconclude (1) global=1 local=")
+    with pytest.raises(ValueError, match=r"step \(9\)"):
+        assumption_status(script, 9)
+
+
 def test_missing_concluded_step():
     r = violation(
         """
@@ -809,6 +859,47 @@ def test_missing_concluded_step():
         """
     )
     assert r.code == "conclusion"
+
+
+# ---------------------------------------------------------------------------
+# The checker against the semantics
+# ---------------------------------------------------------------------------
+
+
+def refuting_bound(script: ProofScript):
+    """The first of the bounds (1,1) and (1,2) within which the concluded
+    formula does not follow from the formulas of the assumptions the
+    footer claims, or None."""
+    claimed = sorted(script.claimed_global | script.claimed_local)
+    premises = [script.step(a).formula for a in claimed]
+    goal = script.step(script.concluded).formula
+    for bound in (SearchBound(1, 1), SearchBound(1, 2)):
+        if not logical_consequence(script.theory, premises, goal, bound).holds:
+            return bound
+    return None
+
+
+def test_accepted_fixture_proofs_are_bounded_consequences():
+    scripts = {p.name: load_proof_script(p) for p in sorted(FIXTURES.glob("*.proof"))}
+    accepted = sorted(name for name, script in scripts.items() if check_proof(script).ok)
+    assert accepted == ["cutglue.proof", "mbox.proof"]
+    for name in accepted:
+        assert refuting_bound(scripts[name]) is None, name
+
+
+def test_discharge_by_andI_is_refuted_and_rejected():
+    # andI closing its own premise would prove p(a) & p(a) from nothing
+    script = parse_proof_script(
+        """
+        (1) 1: p(a) ; rule=assumption
+        (2) 1: p(a) & p(a) ; rule=andI ; from=1,1 ; discharge=1
+        conclude (2) global= local=
+        """,
+        theory=parse_theory("index 1\nsignature 1 { const a; pred p/1; }"),
+    )
+    assert refuting_bound(script) == SearchBound(1, 1)
+    r = check_proof(script)
+    assert (r.ok, r.step, r.code) == (False, 2, "shape")
 
 
 # ---------------------------------------------------------------------------

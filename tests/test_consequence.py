@@ -17,6 +17,7 @@ from dfol import (
     SearchBound,
     Verdict,
     bridge_rules_for_property,
+    check_theory,
     enumerate_models,
     entails_bridge_rule,
     logical_consequence,
@@ -30,7 +31,6 @@ from dfol import consequence
 from dfol.consequence import (
     _domain,
     _index_parts,
-    _is_theory_model,
     _labels_of,
     _local_models,
     _permuted_local,
@@ -113,7 +113,7 @@ def test_enumerated_models_validate_and_satisfy_theory():
     assert models
     for M in models:
         assert validate_model(T, M) == []
-        assert _is_theory_model(T, M)
+        assert check_theory(T, M).ok
     # the axiom prunes every nonempty local model with an empty extension
     for M in models:
         for m in M.models("1"):
@@ -247,7 +247,7 @@ def _brute_force_keys(T, bound):
             key = _brute_force_key(T, M)
             if key not in seen:
                 seen.add(key)
-                if _is_theory_model(T, M):
+                if check_theory(T, M).ok:
                     models.add(key)
     return models
 
@@ -431,7 +431,7 @@ def test_conditional_fails_with_expected_counterexample():
 def test_counterexample_revalidates():
     v = logical_consequence(PQ_RULE, [], lf(PQ_RULE, "1: p -> q"), B12)
     assert validate_model(PQ_RULE, v.model) == []
-    assert _is_theory_model(PQ_RULE, v.model)
+    assert check_theory(PQ_RULE, v.model).ok
 
 
 def test_verdict_truthiness_and_bound():
@@ -650,7 +650,7 @@ def test_arrow_bearing_axiom_constrains_the_search():
     for bound in (B11, SearchBound(2, 1)):
         assert logical_consequence(T, [lf(T, "1: ~p(x^>2)")], lf(T, "1: false"), bound).holds
     v = logical_consequence(T, [], lf(T, "1: false"), B11)
-    assert not v.holds and _is_theory_model(T, v.model)
+    assert not v.holds and check_theory(T, v.model).ok
 
 
 # -- bridge-rule entailment --------------------------------------------------
@@ -701,7 +701,7 @@ def test_counterexample_covers_all_indices():
     assert not v.holds
     assert set(v.model.domains) == {"1", "2", "3"}
     assert validate_model(T, v.model) == []
-    assert _is_theory_model(T, v.model)
+    assert check_theory(T, v.model).ok
     # index 3 is untouched by the query, so the completion leaves it empty
     assert v.model.models("3") == ()
 
