@@ -915,7 +915,9 @@ class _Checker:
 
     # -- driver ---------------------------------------------------------------
 
-    def run(self) -> CheckResult:
+    def references(self) -> CheckResult | None:
+        """Index the steps and their assumption dependencies in order; the
+        violation at the first bad reference, else None."""
         last = 0
         for step in self.script.steps:
             if step.id <= last:
@@ -935,7 +937,12 @@ class _Checker:
                 for p in step.premises:
                     deps |= self.dep[p]
                 self.dep[step.id] = frozenset(deps - set(step.discharged))
+        return None
 
+    def run(self) -> CheckResult:
+        bad = self.references()
+        if bad is not None:
+            return bad
         if self.script.concluded not in self.by_id:
             return CheckResult.violation(
                 None, "conclusion", f"concluded step ({self.script.concluded}) is missing"
@@ -989,7 +996,10 @@ def assumption_status(script: ProofScript, step_id: int) -> str:
     """``local`` or ``global`` for an assumption step, relative to the
     script's concluding step; ValueError if either step is missing."""
     checker = _Checker(script, CheckConfig())
-    checker.run()
+    # Locality needs the references and the premise edges only, not the
+    # rule schemas (whose local-lemma steps run the tableau).
+    if checker.references() is None:
+        checker.compute_locality()
     if step_id not in checker.by_id:
         raise ValueError(f"step ({step_id}) was not checkable")
     if script.concluded not in checker.by_id:
@@ -1003,7 +1013,7 @@ def existential_vars_of_step(script: ProofScript, step_id: int) -> frozenset[Arr
     """Arrow variables of the step's formula that occur in none of the
     assumptions the step depends on."""
     checker = _Checker(script, CheckConfig())
-    checker.run()
+    checker.references()
     if step_id not in checker.dep:
         raise ValueError(f"step ({step_id}) was not checkable")
     return checker.existential(step_id)

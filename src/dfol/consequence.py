@@ -11,17 +11,28 @@ A premise set entails a goal on a fixed model exactly when the model
 satisfies the bridge rule `premises ==> goal`: every strictly
 premise-admissible assignment satisfying the premises extends to one
 satisfying the goal.  The search therefore reuses bridge-rule satisfaction
-from module semantics, with each rule compiled once per search.
+from module semantics, with each rule compiled once (the plan is kept on
+the rule object; the query's rule is new, so compiled, on every call).
 
 One staged depth-first search serves both entry points.  Its stages are
 the indices, each followed by the domain relations whose later endpoint it
-is; every bridge rule and arrow-bearing axiom is checked (memoized on the
-choices it reads) as soon as its last stage is chosen, and arrow-free
-axioms filter each index's candidate parts up front.  logical_consequence
-adds the query as a check that must fail, stages only the indices and
-relations some check reads (the rest get a one-element domain with an
-empty local-model set), and stops at the first leaf.  enumerate_models
-stages every index and relation and yields every leaf.
+is; every bridge rule and arrow-bearing axiom is checked as soon as its
+last stage is chosen, and arrow-free axioms filter each index's candidate
+parts up front.  logical_consequence adds the query as a check that must
+fail, stages only the indices and relations some check reads (the rest get
+a one-element domain with an empty local-model set), and stops at the
+first leaf.  enumerate_models stages every index and relation and yields
+every leaf.
+
+A check's verdict and witness are memoized on what it can observe.  A plan
+reads an index's part only through its domain and through the symbols its
+formulas at that index name, so at each index the parts with one domain
+and one set of local models restricted to those symbols form a class, and
+the memo key holds the class ids of the check's indices and the masks of
+its relations.  At each stage the check that must fail (the query) runs
+before the theory's checks; a leaf needs every verdict either way, so this
+only prunes a doomed branch sooner.  The search reaches the same leaves in
+the same order, with the same witnesses, as one keyed on full choices.
 
 Symmetry is broken by lex-leader pruning (Crawford, Ginsberg, Luks & Roy,
 KR 1996) rather than by comparing keys under every renaming.  Each
@@ -315,9 +326,13 @@ class _StagedSearch:
     relations, one stage per component: indices in the order given, each
     relation right after its later endpoint.
 
-    Every check is run once its last stage is chosen, memoized on the
-    choices of the stages it reads, and prunes the branch unless its
-    verdict is the required one.  Relations are tried in ascending mask
+    Every check is run once its last stage is chosen, the one that must
+    fail first, and prunes the branch unless its verdict is the required
+    one.  Verdicts are memoized per check on the masks of the relations it
+    reads and, for each index it reads, on the class of the chosen part:
+    parts share a class when they have one domain and one set of local
+    models restricted to the symbols the check's formulas read there
+    (`_RulePlan.reads`).  Relations are tried in ascending mask
     order, and one that is not the least of its orbit under the renamings
     fixing the earlier choices is skipped before any check runs.  Checks
     are invariant under renaming, so the first surviving leaf is the
@@ -342,10 +357,6 @@ class _StagedSearch:
             self.stages.append(("idx", i))
             self.stages += [("rel", k) for k in rel_keys if max(at[k[0]], at[k[1]]) == at[i]]
         position = {name: t for t, (_, name) in enumerate(self.stages)}
-        self.ready: dict[int, list] = {}
-        for c, (plan, comps, must_hold) in enumerate(checks):
-            ready = max(position[name] for _, name in comps)
-            self.ready.setdefault(ready, []).append((c, plan, comps, must_hold))
         self.parts = {}
         for i in indices:
             local = [
@@ -356,6 +367,32 @@ class _StagedSearch:
                 for part in _index_parts(T.signature(i), bound, nonempty)
                 if all(plan.check(DfolModel({i: part[0]}, {i: part[1]}, {}))[0] for plan in local)
             ]
+        classes: dict[tuple[str, frozenset], list[int]] = {}
+
+        def class_ids(i: str, symbols: frozenset) -> list[int]:
+            """Each part's class at index i for a check reading `symbols` there."""
+            if (i, symbols) not in classes:
+                order = sorted(symbols)
+                ids: dict = {}
+                classes[(i, symbols)] = [
+                    ids.setdefault(
+                        (domain, frozenset(tuple(m.interp_key(*sym) for sym in order) for m in models)),
+                        len(ids),
+                    )
+                    for domain, models, _ in self.parts[i]
+                ]
+            return classes[(i, symbols)]
+
+        self.ready: dict[int, list] = {}
+        # The check that must fail goes first at its stage: it prunes the
+        # most branches, and a leaf needs every verdict either way.
+        for c, (plan, comps, must_hold) in sorted(enumerate(checks), key=lambda e: e[1][2]):
+            ready = max(position[name] for _, name in comps)
+            keyed = [
+                (name, class_ids(name, plan.reads.get(name, frozenset())) if kind == "idx" else None)
+                for kind, name in comps
+            ]
+            self.ready.setdefault(ready, []).append((c, plan, keyed, must_hold))
         self.model = DfolModel({}, {}, {})
         # Interned choice ids keep memo keys small integers instead of deep
         # structures that would be re-hashed on every lookup.
@@ -364,8 +401,9 @@ class _StagedSearch:
         self.memo: dict[tuple[int, tuple[int, ...]], tuple[bool, Assignment | None]] = {}
 
     def _passes(self, t: int) -> bool:
-        for c, plan, comps, must_hold in self.ready.get(t, ()):
-            key = (c, tuple(self.choice[name] for _, name in comps))
+        choice = self.choice
+        for c, plan, keyed, must_hold in self.ready.get(t, ()):
+            key = (c, tuple([choice[name] if ids is None else ids[choice[name]] for name, ids in keyed]))
             hit = self.memo.get(key)
             if hit is None:
                 hit = self.memo[key] = plan.check(self.model)

@@ -23,7 +23,11 @@ formula or term is a `TypeError` at compile time.  `satisfies_local`,
 `eval_term` and `satisfies_labeled` compile against their env's variables
 per call; a bridge-rule or axiom plan (`_RulePlan`) compiles its premises
 and conclusion once against the rule's own slots, with the conclusion's
-extension-searched arrow variables in the slots right after them.
+extension-searched arrow variables in the slots right after them.  The
+plan is kept on the (frozen) BridgeRule or LabeledFormula it was built
+for, so `check_theory` and every other caller compile each rule object
+once; pickling and deep copies leave the plan out, and it is rebuilt on
+first use.
 
 An arrow condition pairs two slots through one domain relation, so a plan
 never sweeps the later of the two over its whole domain.  When checking a
@@ -66,6 +70,7 @@ from .syntax import (
     Theory,
     Var,
     arrow_vars,
+    formula_symbols,
     free_plain_vars,
     render_term,
 )
@@ -552,7 +557,10 @@ class _RulePlan:
       variables as (anchor slot, image), in extension-search order: each
       ranges over the image of its anchor's value.  They take the slots
       right after the rule's own, and every quantifier slot comes after
-      those; `width` is the length of the values list.
+      those; `width` is the length of the values list;
+    - `reads`: for each index with a premise or the conclusion, the
+      (kind, name) symbols those formulas read there.  `check` reads a
+      local model only through its domain and these symbols.
 
     An image table is restricted to the domain of the slots it binds and
     kept in sorted order, so candidates come in the order of the plain
@@ -568,6 +576,10 @@ class _RulePlan:
     ):
         pos = {s: k for k, s in enumerate(slots)}
         self.slots = slots
+        reads: dict[str, set[tuple[str, str]]] = {}
+        for lf in (*premises, conclusion):
+            reads.setdefault(lf.index, set()).update(formula_symbols(lf.formula))
+        self.reads = {i: frozenset(symbols) for i, symbols in reads.items()}
         self.images: list[tuple[tuple, bool]] = []
         self.sources, self.conditions = _slot_sources(slots, self.images)
         index = conclusion.index
@@ -708,12 +720,23 @@ def _image(M: DfolModel, key: tuple, forward: bool) -> dict[str, list[str]]:
     return table
 
 
+def _kept_plan(owner: BridgeRule | LabeledFormula, build: Callable[[], _RulePlan]) -> _RulePlan:
+    """The plan kept on a frozen rule or axiom, built on first use; the
+    owner cannot change, so the plan never goes stale, and pickling leaves
+    it out (syntax._without_caches)."""
+    plan = owner.__dict__.get("_plan")
+    if plan is None:
+        plan = build()
+        object.__setattr__(owner, "_plan", plan)
+    return plan
+
+
 def _rule_plan(rule: BridgeRule) -> _RulePlan:
-    return _RulePlan(_rule_slots(rule), rule.premises, rule.conclusion)
+    return _kept_plan(rule, lambda: _RulePlan(_rule_slots(rule), rule.premises, rule.conclusion))
 
 
 def _axiom_plan(ax: LabeledFormula) -> _RulePlan:
-    return _RulePlan(_variables_of([ax]), (), ax)
+    return _kept_plan(ax, lambda: _RulePlan(_variables_of([ax]), (), ax))
 
 
 def satisfies_bridge_rule(

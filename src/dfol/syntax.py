@@ -226,10 +226,12 @@ def _cached_hash(node) -> int:
     return node.__dict__["_hash"]
 
 
-def _without_cached_hash(node) -> dict:
-    """Pickled state without the cached hash, which another process with
-    another string-hash seed would get wrong."""
-    return {k: v for k, v in node.__dict__.items() if k != "_hash"}
+def _without_caches(obj) -> dict:
+    """Pickled (and deep-copied) state without what an object caches: a
+    node's hash, which another process with another string-hash seed would
+    get wrong, and the compiled plan module semantics keeps on a bridge rule
+    or axiom, whose closures cannot be pickled.  Both are rebuilt on use."""
+    return {k: v for k, v in obj.__dict__.items() if k != "_hash" and k != "_plan"}
 
 
 def _node_eq(f: Formula | App, g: object) -> bool:
@@ -270,7 +272,7 @@ _CACHED = (Not, And, Or, Implies, Forall, Exists, App)
 for _cls in _CACHED:
     _cls.__hash__ = _cached_hash
     _cls.__eq__ = _node_eq
-    _cls.__getstate__ = _without_cached_hash
+    _cls.__getstate__ = _without_caches
 del _cls
 
 
@@ -285,6 +287,8 @@ class LabeledFormula:
     index: str
     formula: Formula
 
+    __getstate__ = _without_caches
+
 
 @dataclass(frozen=True)
 class BridgeRule:
@@ -297,6 +301,8 @@ class BridgeRule:
     premises: tuple[LabeledFormula, ...]
     conclusion: LabeledFormula
     origin: str | None = None  # set when expanded from a property tag
+
+    __getstate__ = _without_caches
 
 
 @dataclass(frozen=True)
@@ -1146,12 +1152,19 @@ def _term_symbols(terms: Iterable[Term]) -> set[tuple[str, str]]:
 
 
 def formula_symbols(f: Formula) -> set[tuple[str, str]]:
-    """All (kind, name) signature symbols occurring in f."""
-    out = _term_symbols(atom_terms(f))
-    if type(f) is Atom:
-        out.add(("pred", f.pred))
-    for g in children(f):
-        out |= formula_symbols(g)
+    """All (kind, name) signature symbols occurring in f, walked with an
+    explicit stack as arrow_vars is."""
+    out: set[tuple[str, str]] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        kids = children(g)
+        if kids:
+            stack.extend(kids)
+            continue
+        out |= _term_symbols(atom_terms(g))
+        if type(g) is Atom:
+            out.add(("pred", g.pred))
     return out
 
 

@@ -205,6 +205,24 @@ def test_mbox_assumption_statuses():
         assumption_status(script, 5)
 
 
+def test_assumption_status_runs_no_tableau(monkeypatch):
+    # locality and existential variables come from the references alone;
+    # mbox.proof's local-lemma step would otherwise run the tableau
+    import dfol.calculus as calculus
+
+    def no_tableau(*args, **kwargs):
+        raise AssertionError("tableau_valid was called")
+
+    monkeypatch.setattr(calculus, "tableau_valid", no_tableau)
+    script = load_proof_script(FIXTURES / "mbox.proof")
+    assert [assumption_status(script, a) for a in (1, 3, 4, 6, 9, 11)] == [
+        "global", "global", "global", "local", "global", "local"
+    ]
+    assert existential_vars_of_step(script, 5) == frozenset({ArrowVar("x", "<", "1")})
+    with pytest.raises(AssertionError, match="tableau_valid"):
+        check_proof(script)
+
+
 def test_mbox_existential_variables():
     script = load_proof_script(FIXTURES / "mbox.proof")
     assert existential_vars_of_step(script, 5) == frozenset(

@@ -397,6 +397,78 @@ def test_pruning_keeps_counterexamples_that_need_two_relations():
             assert _outcome(pruned) == _outcome(unpruned)
 
 
+# -- memo keys projected onto part classes against full choice keys --------
+
+
+class _FullKeySearch(_StagedSearch):
+    """The staged search with its memo keyed on every stage's full choice,
+    and its checks run in the order given, not the must-fail check first."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ready = {
+            t: [
+                (c, plan, [(name, None) for name, _ in keyed], must_hold)
+                for c, plan, keyed, must_hold in sorted(at_t, key=lambda e: e[0])
+            ]
+            for t, at_t in self.ready.items()
+        }
+
+
+# Statements and queries over different subsets of the symbols, so that
+# parts agreeing on what one check reads differ on what another reads.
+SYMBOL_STATEMENTS = [
+    "bridge 1: p(c) ==> 2: s(c)",
+    "bridge 1: q ==> 2: t",
+    "bridge 1: p(x) ==> 2: s(x^<1)",
+    "bridge 2: t ==> 1: exists x. q & p(x)",
+    "bridge 1: p(f(c)) ==> 2: t",
+    "axiom 1: p(c) | q",
+    "axiom 2: exists x. s(x^<1) -> t",
+]
+SYMBOL_QUERIES = [
+    ([], "1: q"),
+    (["1: p(c)"], "2: s(c)"),
+    (["1: q"], "2: t"),
+    (["2: s(x)"], "1: p(x^>2)"),
+    (["1: p(x)"], "2: s(x^<1) | t"),
+    (["1: p(x)"], "1: q"),
+    (["1: p(x)"], "1: p(f(x))"),
+]
+
+
+@st.composite
+def symbol_theories(draw):
+    complete = draw(st.booleans())
+    func = draw(st.booleans())
+    statements = [s for s in SYMBOL_STATEMENTS if func or "f(" not in s]
+    queries = [q for q in SYMBOL_QUERIES if func or "f(" not in q[1]]
+    T = parse_theory(
+        "\n".join(
+            [
+                "index 1, 2",
+                f"signature 1 {{ {'complete ' * complete}const c; pred p/1, q/0; {'func f/1;' * func} }}",
+                "signature 2 { const c; pred s/1, t/0; }",
+                *draw(st.lists(st.sampled_from(statements), max_size=3, unique=True)),
+            ]
+        )
+    )
+    premises, goal = draw(st.sampled_from(queries))
+    return T, [lf(T, p) for p in premises], lf(T, goal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(symbol_theories(), st.sampled_from([(2, 1), (1, 2)]))
+def test_projected_memo_keys_match_full_choice_keys(case, bound):
+    T, premises, goal = case
+    bound = SearchBound(*bound)
+    projected = logical_consequence(T, premises, goal, bound)
+    enumerated = [M.key() for M in enumerate_models(T, B12)]
+    with patch.object(consequence, "_StagedSearch", _FullKeySearch):
+        assert _outcome(projected) == _outcome(logical_consequence(T, premises, goal, bound))
+        assert enumerated == [M.key() for M in enumerate_models(T, B12)]
+
+
 def test_complete_symbols_agree_across_enumerated_sets():
     T = parse_theory(
         "index 1\nsignature 1 { const c; pred p/0; complete const c; }"

@@ -7,7 +7,10 @@ and the domain relations connect the one ball both observers see.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import json
+import pickle
 import sys
 from collections import Counter
 from itertools import product
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfol import semantics
 from dfol.relations import bridge_rules_for_property
 from dfol.semantics import (
     _rule_slots,
@@ -1146,3 +1150,32 @@ def test_the_deepest_parsed_formulas_evaluate(make, holds):
     T = dataclasses.replace(DEEP_THEORY, axioms=(LabeledFormula("1", phi),))
     M = DfolModel({"1": m.domain}, {"1": (m,)}, {})
     assert check_theory(T, M).ok is expected
+
+
+def test_theories_with_kept_plans_pickle_and_copy():
+    # check_theory keeps a compiled plan on every rule and axiom; its
+    # closures cannot be pickled, so pickles and copies leave it out
+    T = parse_theory((FIXTURES / "magicbox.dfol").read_text())
+    M = load_model(json.loads((FIXTURES / "magicbox.json").read_text()))
+    report = check_theory(T, M)
+    assert all("_plan" in vars(x) for x in (*T.rules, *T.axioms))
+    for copied in (pickle.loads(pickle.dumps(T)), copy.deepcopy(T)):
+        assert copied == T
+        assert not any("_plan" in vars(x) for x in (*copied.rules, *copied.axioms))
+        assert check_theory(copied, M) == report
+
+
+def test_plans_compile_once_per_rule_object(monkeypatch):
+    T = parse_theory((FIXTURES / "magicbox.dfol").read_text())
+    M = load_model(json.loads((FIXTURES / "magicbox.json").read_text()))
+    built = Counter()
+    init = semantics._RulePlan.__init__
+
+    def counting(self, *args):
+        built["plans"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(semantics._RulePlan, "__init__", counting)
+    for _ in range(3):
+        check_theory(T, M)
+    assert built["plans"] == len(T.rules) + len(T.axioms)

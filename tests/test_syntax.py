@@ -31,9 +31,12 @@ from dfol.syntax import (
     Token,
     Var,
     _PUNCT,
+    _term_symbols,
     arrow_vars,
+    atom_terms,
     children,
     classify_variables,
+    formula_symbols,
     free_plain_vars,
     parse_bridge_rule_text,
     parse_formula,
@@ -506,6 +509,30 @@ def test_long_and_chains_render(n):
     for a in reversed(atoms[:-1]):
         chain = And(a, chain)
     assert render_formula(chain) == " & ".join(["p(c) & r"] * (n // 2))
+
+
+def _reference_formula_symbols(f):
+    """The recursive walk that formula_symbols' stack walk replaced."""
+    out = _term_symbols(atom_terms(f))
+    if type(f) is Atom:
+        out.add(("pred", f.pred))
+    for g in children(f):
+        out |= _reference_formula_symbols(g)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(4))
+def test_formula_symbols_matches_the_recursive_walk(phi):
+    assert formula_symbols(phi) == _reference_formula_symbols(phi)
+
+
+def test_long_and_chain_symbols():
+    atoms = ([Atom("p", (Const("c"),)), Atom("r"), Eq(App("f", (Var("x"),)), Var("y"))] * 3334)[:10000]
+    chain = atoms[-1]
+    for a in reversed(atoms[:-1]):
+        chain = And(a, chain)
+    assert formula_symbols(chain) == {("pred", "p"), ("const", "c"), ("pred", "r"), ("func", "f")}
 
 
 def formulas_at_2(depth: int = 2):
