@@ -16,13 +16,15 @@ the rule object; the query's rule is new, so compiled, on every call).
 
 One staged depth-first search serves both entry points.  Its stages are
 the indices, each followed by the domain relations whose later endpoint it
-is; every bridge rule and arrow-bearing axiom is checked as soon as its
-last stage is chosen, and arrow-free axioms filter each index's candidate
-parts up front.  logical_consequence adds the query as a check that must
-fail, stages only the indices and relations some check reads (the rest get
-a one-element domain with an empty local-model set), and stops at the
-first leaf.  enumerate_models stages every index and relation and yields
-every leaf.
+is.  What a check reads comes from its compiled plan alone: the indices of
+`_RulePlan.reads` and the relation keys of `_RulePlan.relations` are its
+stages.  Every bridge rule, and every axiom that reads a relation, is
+checked as soon as its last stage is chosen; the other axioms filter each
+index's candidate parts up front.  logical_consequence adds the query as a
+check that must fail, stages only the indices and relations some check
+reads (the rest get a one-element domain with an empty local-model set),
+and stops at the first leaf.  enumerate_models stages every index of T and
+every relation with a label some check reads, and yields every leaf.
 
 A check's verdict and witness are memoized on what it can observe.  A plan
 reads an index's part only through its domain and through the symbols its
@@ -55,20 +57,13 @@ from .semantics import (
     DfolModel,
     LocalModel,
     _axiom_plan,
-    _relation_key,
     _rule_plan,
     _RulePlan,
     check_theory,
     satisfies_bridge_rule,
     validate_model,
 )
-from .syntax import (
-    BridgeRule,
-    LabeledFormula,
-    Signature,
-    Theory,
-    arrow_vars,
-)
+from .syntax import BridgeRule, LabeledFormula, Signature, Theory
 
 __all__ = [
     "SearchBound",
@@ -249,14 +244,10 @@ def _index_parts(
     return parts
 
 
-def _relation_subsets(
-    src: tuple[str, ...], tgt: tuple[str, ...]
-) -> Iterator[frozenset[tuple[str, str]]]:
-    """Every relation from src to tgt, in the order of its mask: bit k
-    stands for the k-th pair in sorted order."""
-    pairs = sorted(product(src, tgt))
-    for mask in range(1 << len(pairs)):
-        yield frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
+def _relation(pairs: Sequence[tuple[str, str]], mask: int) -> frozenset[tuple[str, str]]:
+    """The relation a mask stands for: bit k for pairs[k].  The search
+    numbers the relations from src to tgt by masks over their sorted pairs."""
+    return frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
 
 
 _Renaming = dict[str, dict[str, str]]  # index -> domain permutation; absent means identity
@@ -266,7 +257,7 @@ def _mask_images(
     group: Sequence[_Renaming], domains: dict[str, tuple[str, ...]], src: str, tgt: str
 ) -> list[list[int] | None]:
     """For each renaming in group, the table from the mask of a relation
-    from src to tgt (as _relation_subsets numbers them) to the mask of its
+    from src to tgt (as `_relation` numbers them) to the mask of its
     image, or None where the renaming fixes every pair.  Renamings that
     agree on src and tgt share one table."""
     pairs = sorted(product(domains[src], domains[tgt]))
@@ -292,53 +283,34 @@ def _mask_images(
 # The staged search
 # ---------------------------------------------------------------------------
 
-_Stage = tuple[str, object]  # ("idx", index) or ("rel", relation key)
-
-
-def _formula_components(lf: LabeledFormula) -> set[_Stage]:
-    """The stages a check over lf reads: its index, and for every arrow
-    variable the relation it maps through and that relation's far endpoint,
-    whose domain arrow admissibility sweeps."""
-    comps: set[_Stage] = {("idx", lf.index)}
-    for av in arrow_vars(lf.formula):
-        comps.add(("idx", av.foreign))
-        comps.add(("rel", _relation_key(lf.index, av)))
-    return comps
-
-
-def _components(formulas: Iterable[LabeledFormula]) -> tuple[_Stage, ...]:
-    return tuple(set().union(*map(_formula_components, formulas)))
-
-
-def _theory_checks(T: Theory) -> list[tuple[_RulePlan, tuple[_Stage, ...], bool]]:
-    """T's bridge rules and arrow-bearing axioms, each compiled once, with
-    the stages it reads and the verdict it must have (both must hold).
-    Arrow-free axioms filter each index's parts instead."""
-    checks = [(_rule_plan(r), _components([*r.premises, r.conclusion]), True) for r in T.rules]
-    checks += [
-        (_axiom_plan(ax), _components([ax]), True) for ax in T.axioms if arrow_vars(ax.formula)
-    ]
-    return checks
+def _theory_checks(T: Theory) -> list[tuple[_RulePlan, bool]]:
+    """T's bridge rules and the axioms that read a relation, each compiled
+    once, with the verdict it must have (both must hold).  The other
+    axioms filter each index's parts instead."""
+    checks = [(_rule_plan(r), True) for r in T.rules]
+    return checks + [(plan, True) for plan in map(_axiom_plan, T.axioms) if plan.relations]
 
 
 class _StagedSearch:
     """Depth-first search over the models of T on the given indices and
-    relations, one stage per component: indices in the order given, each
+    relations, one stage for each: indices in the order given, each
     relation right after its later endpoint.
 
-    Every check is run once its last stage is chosen, the one that must
-    fail first, and prunes the branch unless its verdict is the required
-    one.  Verdicts are memoized per check on the masks of the relations it
-    reads and, for each index it reads, on the class of the chosen part:
-    parts share a class when they have one domain and one set of local
-    models restricted to the symbols the check's formulas read there
-    (`_RulePlan.reads`).  Relations are tried in ascending mask
-    order, and one that is not the least of its orbit under the renamings
-    fixing the earlier choices is skipped before any check runs.  Checks
-    are invariant under renaming, so the first surviving leaf is the
-    first leaf of the unpruned search.  `leaves()` yields the live model
-    at each surviving leaf; `results[c]` then holds check c's (verdict,
-    witness) for that leaf, and `choice` the option taken at each stage.
+    A check is a plan and the verdict it must have.  Its stages are the
+    indices of its `reads` and the keys of its `relations`; it is run once
+    its last stage is chosen, the one that must fail first, and prunes the
+    branch unless its verdict is the required one.  Verdicts are memoized
+    per check on the masks of the relations it reads and, for each index
+    it reads, on the class of the chosen part: parts share a class when
+    they have one domain and one set of local models restricted to the
+    symbols the check's formulas read there.  Relations are tried in
+    ascending mask order, and one that is not the least of its orbit under
+    the renamings fixing the earlier choices is skipped before any check
+    runs.  Checks are invariant under renaming, so the first surviving
+    leaf is the first leaf of the unpruned search.  `leaves()` yields the
+    live model at each surviving leaf; `results[c]` then holds check c's
+    (verdict, witness) for that leaf, and `choice` the option taken at
+    each stage.
     """
 
     def __init__(
@@ -347,21 +319,21 @@ class _StagedSearch:
         bound: SearchBound,
         indices: list[str],
         rel_keys: Iterable[tuple[str, str, str | None]],
-        checks: list[tuple[_RulePlan, tuple[_Stage, ...], bool]],
+        checks: list[tuple[_RulePlan, bool]],
         nonempty: bool = False,
     ):
         at = {i: t for t, i in enumerate(indices)}
         rel_keys = sorted(rel_keys, key=lambda k: (k[0], k[1], k[2] or ""))
-        self.stages: list[_Stage] = []
+        self.stages: list[tuple[str, object]] = []  # ("idx", index) or ("rel", key)
         for i in indices:
             self.stages.append(("idx", i))
             self.stages += [("rel", k) for k in rel_keys if max(at[k[0]], at[k[1]]) == at[i]]
         position = {name: t for t, (_, name) in enumerate(self.stages)}
         self.parts = {}
         for i in indices:
-            local = [
-                _axiom_plan(ax) for ax in T.axioms if ax.index == i and not arrow_vars(ax.formula)
-            ]
+            # axioms that read no relation are decided by one index's part
+            local = [_axiom_plan(ax) for ax in T.axioms if ax.index == i]
+            local = [plan for plan in local if not plan.relations]
             self.parts[i] = [
                 part
                 for part in _index_parts(T.signature(i), bound, nonempty)
@@ -386,12 +358,10 @@ class _StagedSearch:
         self.ready: dict[int, list] = {}
         # The check that must fail goes first at its stage: it prunes the
         # most branches, and a leaf needs every verdict either way.
-        for c, (plan, comps, must_hold) in sorted(enumerate(checks), key=lambda e: e[1][2]):
-            ready = max(position[name] for _, name in comps)
-            keyed = [
-                (name, class_ids(name, plan.reads.get(name, frozenset())) if kind == "idx" else None)
-                for kind, name in comps
-            ]
+        for c, (plan, must_hold) in sorted(enumerate(checks), key=lambda e: e[1][1]):
+            keyed = [(i, class_ids(i, symbols)) for i, symbols in plan.reads.items()]
+            keyed += [(key, None) for key in plan.relations]
+            ready = max(position[name] for name, _ in keyed)
             self.ready.setdefault(ready, []).append((c, plan, keyed, must_hold))
         self.model = DfolModel({}, {}, {})
         # Interned choice ids keep memo keys small integers instead of deep
@@ -437,10 +407,11 @@ class _StagedSearch:
         src, tgt, _ = name
         images = _mask_images(group, M.domains, src, tgt) if len(group) > 1 else [None]
         movers = list({id(table): table for table in images if table}.values())
-        for mask, option in enumerate(_relation_subsets(M.domains[src], M.domains[tgt])):
+        pairs = sorted(product(M.domains[src], M.domains[tgt]))
+        for mask in range(1 << len(pairs)):
             if any(table[mask] < mask for table in movers):
                 continue
-            M.relations[name] = option
+            M.relations[name] = _relation(pairs, mask)
             self.choice[name] = mask
             if self._passes(t):
                 yield from self.leaves(
@@ -450,13 +421,9 @@ class _StagedSearch:
 
 
 def _labels_of(T: Theory) -> list[str | None]:
-    labels: set[str | None] = {None}
-    for lf in list(T.axioms) + [
-        f for r in T.rules for f in list(r.premises) + [r.conclusion]
-    ]:
-        for av in arrow_vars(lf.formula):
-            labels.add(av.label)
-    return sorted(labels, key=lambda x: (x is not None, x))
+    """The link labels of the relations T's checks read, None first."""
+    labels = {key[2] for plan, _ in _theory_checks(T) for key in plan.relations}
+    return sorted(labels | {None}, key=lambda x: (x is not None, x))
 
 
 def enumerate_models(T: Theory, bound: SearchBound) -> Iterator[DfolModel]:
@@ -508,22 +475,20 @@ def logical_consequence(
     the premises; only the goal's own new arrow variables are searched
     existentially, mirroring bridge-rule satisfaction.
     """
-    premises = tuple(premises)
-    query = BridgeRule(premises, goal)
-    checks = _theory_checks(T)
-    query_comps = _components([*premises, goal])
-    checks.append((_rule_plan(query), query_comps, False))
-    # Only the components some check reads can influence the query; the
-    # rest are fixed by the completion.
-    involved = {c for _, comps, _ in checks for c in comps}
-    # Indices the query itself touches come first: once they are staged the
+    query = BridgeRule(tuple(premises), goal)
+    plan = _rule_plan(query)
+    checks = _theory_checks(T) + [(plan, False)]
+    # Only the indices and relations some check reads can influence the
+    # query; the rest are fixed by the completion.
+    read = {i for p, _ in checks for i in p.reads}
+    # Indices the query itself reads come first: once they are staged the
     # query's verdict is fixed, and branches where it already holds are
-    # pruned without enumerating the remaining components.
+    # pruned without enumerating the remaining stages.
     indices = sorted(
-        (i for i in T.indices if ("idx", i) in involved),
-        key=lambda i: (("idx", i) not in query_comps, T.indices.index(i)),
+        (i for i in T.indices if i in read),
+        key=lambda i: (i not in plan.reads, T.indices.index(i)),
     )
-    rel_keys = [name for kind, name in involved if kind == "rel"]
+    rel_keys = {key for p, _ in checks for key in p.relations}
     search = _StagedSearch(T, bound, indices, rel_keys, checks, _nonempty_model_sets)
     M = next(search.leaves(), None)
     if M is None:

@@ -29,6 +29,14 @@ for, so `check_theory` and every other caller compile each rule object
 once; pickling and deep copies leave the plan out, and it is rebuilt on
 first use.
 
+A plan has one walk, a depth-first sweep over its slots that calls a
+given function at each admissible assignment satisfying the premises: the
+conclusion's extension search for a rule or axiom check, a collector for
+`enumerate_admissible`.  Its `reads` (the symbols it reads at each index)
+and `relations` (the relations its arrow variables map through) state all
+it reads of a model; the staged consequence search takes its stages and
+memo keys from them.
+
 An arrow condition pairs two slots through one domain relation, so a plan
 never sweeps the later of the two over its whole domain.  When checking a
 model, each relation that a slot's first arrow condition or an
@@ -463,42 +471,24 @@ def _variables_of(formulas: Iterable[LabeledFormula]) -> list[tuple[str, Term]]:
     return sorted(slots, key=lambda s: (s[0], render_term(s[1])))
 
 
-def _assignments_over(
-    M: DfolModel, slots: list[tuple[str, Term]]
-) -> Iterator[Assignment]:
-    """Depth-first lexicographic enumeration over the given variable slots.
-    A slot with arrow conditions ranges over a relation image, and further
-    conditions filter it, as in `_RulePlan.check`."""
-    n = len(slots)
-    images: list[tuple[tuple, bool]] = []
-    sources, conditions = _slot_sources(slots, images)
-    domains = [sorted(M.domains.get(i, ())) for i, _ in slots]
-    tables = [_image(M, key, forward) for key, forward in images]
-    conditions = [[(a, b, M.rel(*key)) for a, b, key in at_k] for at_k in conditions]
-    values: list = [None] * n
-
-    def rec(k: int) -> Iterator[Assignment]:
-        if k == n:
-            yield Assignment((i, v, e) for (i, v), e in zip(slots, values))
-            return
-        source, at_k = sources[k], conditions[k]
-        for elem in domains[k] if source is None else tables[source[1]].get(values[source[0]], ()):
-            values[k] = elem
-            if all((values[a], values[b]) in rel for a, b, rel in at_k):
-                yield from rec(k + 1)
-
-    yield from rec(0)
-
-
 def enumerate_admissible(
     M: DfolModel, formulas: Iterable[LabeledFormula]
 ) -> Iterator[Assignment]:
     """Assignments over exactly the variables occurring in the formula set,
-    admissible for every formula.  Materialization confines the assignment
-    to occurring variables, so it is strict (assigns no arrow variables
-    beyond the formulas') by construction.
+    admissible for every formula, in lexicographic order.  Materialization
+    confines the assignment to occurring variables, so it is strict
+    (assigns no arrow variables beyond the formulas') by construction.
+    One walk of a plan with neither premises nor conclusion collects them.
     """
-    yield from _assignments_over(M, _variables_of(formulas))
+    slots = _variables_of(formulas)
+    found: list[Assignment] = []
+
+    def collect(values: list, tables: list) -> bool:
+        found.append(Assignment((i, v, e) for (i, v), e in zip(slots, values)))
+        return False
+
+    _RulePlan(slots).walk(M, collect)
+    yield from found
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +506,7 @@ def _rule_slots(rule: BridgeRule) -> list[tuple[str, Term]]:
         slots.add((concl.index, Var(name)))
     for av in arrow_vars(concl.formula):
         slots.add((av.foreign, Var(av.base)))
-    premise_arrows = {
-        (lf.index, av) for lf in rule.premises for av in arrow_vars(lf.formula)
-    }
-    slots = {
-        s
-        for s in slots
-        if not isinstance(s[1], ArrowVar) or s in premise_arrows
-    }
-    return sorted(slots | premise_arrows, key=lambda s: (s[0], render_term(s[1])))
+    return sorted(slots, key=lambda s: (s[0], render_term(s[1])))
 
 
 def _formula_vars(f: Formula) -> list[Term]:
@@ -534,13 +516,21 @@ def _formula_vars(f: Formula) -> list[Term]:
     )
 
 
+def _holds(f: _Eval, models: tuple[LocalModel, ...], values: list) -> bool:
+    """f holds in every model of the set; an empty set satisfies it."""
+    for m in models:
+        if not f(m, values):
+            return False
+    return True
+
+
 class _RulePlan:
     """A bridge rule compiled once against its outer slots, so that
-    checking it on a model is a walk over one flat list of slot values.
+    checking it on a model is one walk over one flat list of slot values.
 
     Everything that depends on the rule alone is resolved here:
     - `images`: the distinct (relation key, forward) pairs whose image
-      tables `check` builds for a model; a forward table maps an element to
+      tables `walk` builds for a model; a forward table maps an element to
       the second elements of its pairs, a backward one to the first ones;
     - `sources[k]`: where slot k's candidates come from.  None means the
       whole (sorted) domain of its index.  A slot with arrow conditions is
@@ -557,11 +547,19 @@ class _RulePlan:
       variables as (anchor slot, image), in extension-search order: each
       ranges over the image of its anchor's value.  They take the slots
       right after the rule's own, and every quantifier slot comes after
-      those; `width` is the length of the values list;
-    - `reads`: for each index with a premise or the conclusion, the
-      (kind, name) symbols those formulas read there.  `check` reads a
-      local model only through its domain and these symbols.
+      those; `width` is the length of the values list.
 
+    The plan also states what of a model it reads:
+    - `reads`: for each index that a slot sweeps or a premise or the
+      conclusion sits at, the (kind, name) symbols those formulas read
+      there; an index that holds only anchors reads none.  A plan reads a
+      local model only through its domain and these symbols;
+    - `relations`: the keys of every relation it maps an arrow variable
+      through, the only relations it reads.
+
+    `walk` is the one depth-first sweep over the slots.  `check` runs it
+    with the extension search at each leaf; `enumerate_admissible` runs a
+    plan with neither premises nor conclusion and collects every leaf.
     An image table is restricted to the domain of the slots it binds and
     kept in sorted order, so candidates come in the order of the plain
     sweep.  An axiom is a premise-free plan whose arrow variables are all
@@ -571,28 +569,44 @@ class _RulePlan:
     def __init__(
         self,
         slots: list[tuple[str, Term]],
-        premises: Iterable[LabeledFormula],
-        conclusion: LabeledFormula,
+        premises: Iterable[LabeledFormula] = (),
+        conclusion: LabeledFormula | None = None,
     ):
         pos = {s: k for k, s in enumerate(slots)}
         self.slots = slots
-        reads: dict[str, set[tuple[str, str]]] = {}
-        for lf in (*premises, conclusion):
+        reads: dict[str, set[tuple[str, str]]] = {i: set() for i, _ in slots}
+        for lf in (*premises, conclusion) if conclusion else premises:
             reads.setdefault(lf.index, set()).update(formula_symbols(lf.formula))
         self.reads = {i: frozenset(symbols) for i, symbols in reads.items()}
+        conditions: list[list[tuple[int, int, tuple]]] = [[] for _ in slots]
+        for k, (index, var) in enumerate(slots):
+            if isinstance(var, ArrowVar):
+                anchor = pos[(var.foreign, Var(var.base))]
+                first, second = (k, anchor) if var.direction == ">" else (anchor, k)
+                conditions[max(k, anchor)].append((first, second, _relation_key(index, var)))
         self.images: list[tuple[tuple, bool]] = []
-        self.sources, self.conditions = _slot_sources(slots, self.images)
-        index = conclusion.index
+        self.sources: list[tuple[int, int] | None] = []
+        for k, at_k in enumerate(conditions):
+            if at_k:
+                first, second, key = at_k[0]
+                forward = second == k
+                self.sources.append((first if forward else second, _image_number(self.images, key, forward)))
+            else:
+                self.sources.append(None)
+        self.conditions = [at_k[1:] for at_k in conditions]
         layout: dict[Term, int] = {}
         self.missing: list[tuple[int, int]] = []
-        for v in _formula_vars(conclusion.formula):
-            if (index, v) in pos:
-                layout[v] = pos[(index, v)]
+        for v in _formula_vars(conclusion.formula) if conclusion else ():
+            if (conclusion.index, v) in pos:
+                layout[v] = pos[(conclusion.index, v)]
             else:
                 layout[v] = len(slots) + len(self.missing)
                 anchor = pos[(v.foreign, Var(v.base))]
-                key = _relation_key(index, v)
+                key = _relation_key(conclusion.index, v)
                 self.missing.append((anchor, _image_number(self.images, key, v.direction == "<")))
+        self.relations = frozenset(
+            [key for at_k in conditions for _, _, key in at_k] + [key for key, _ in self.images]
+        )
         free = self.width = len(slots) + len(self.missing)
 
         def compiled(phi: Formula, layout: dict[Term, int]):
@@ -600,7 +614,8 @@ class _RulePlan:
             self.width = max(self.width, width)
             return f
 
-        self.conclusion = (index, compiled(conclusion.formula, layout))
+        if conclusion:
+            self.conclusion = (conclusion.index, compiled(conclusion.formula, layout))
         self.closed: list[tuple[str, _Eval]] = []
         self.premises: list[list[tuple[str, _Eval]]] = [[] for _ in slots]
         for lf in premises:
@@ -611,12 +626,17 @@ class _RulePlan:
             else:
                 self.closed.append(entry)
 
-    def check(self, M: DfolModel) -> tuple[bool, Assignment | None]:
-        """(True, None) iff every admissible assignment over the slots that
-        satisfies the premises extends to one satisfying the conclusion;
-        otherwise (False, the first failing assignment in lexicographic
-        order).  A subtree is dropped as soon as a premise fails in it, which
-        skips only assignments the plain sweep would skip too."""
+    def walk(
+        self, M: DfolModel, leaf: Callable[[list, list[dict[str, list[str]]]], bool]
+    ) -> Assignment | None:
+        """Depth-first, in lexicographic order, over the assignments to the
+        slots that meet their arrow conditions and satisfy the premises:
+        calls leaf(values, tables) at each, with values[k] holding slot k's
+        element and `tables` the image tables of `images`.  Stops at the
+        first leaf for which that is true and returns its assignment; None
+        if there is none.  A subtree is dropped as soon as a premise fails
+        in it, which skips only assignments the plain sweep would skip too.
+        The walk recurses once per slot and adds no generator frame."""
         n = len(self.slots)
         domains = [sorted(M.domains.get(i, ())) for i, _ in self.slots]
         tables = [_image(M, key, forward) for key, forward in self.images]
@@ -626,45 +646,47 @@ class _RulePlan:
             at_k and [(a, b, M.rel(*key)) for a, b, key in at_k] for at_k in self.conditions
         ]
         premises = [at_k and [(f, M.models(i)) for i, f in at_k] for at_k in self.premises]
-        c_index, c_formula = self.conclusion
-        c_models = M.models(c_index)
-        missing = self.missing
         values: list = [None] * self.width
 
-        def holds(f: _Eval, models: tuple[LocalModel, ...]) -> bool:
-            for m in models:
-                if not f(m, values):
-                    return False
-            return True
-
-        def extends() -> bool:
-            choices = [tables[t].get(values[anchor], ()) for anchor, t in missing]
-            for combo in product(*choices):
-                values[n : n + len(combo)] = combo
-                if holds(c_formula, c_models):
-                    return True
-            return False
-
-        def fails_below(k: int) -> bool:
+        def found_below(k: int) -> bool:
             if k == n:
-                return not extends()
+                return leaf(values, tables)
             source, at_k, premises_at_k = sources[k], conditions[k], premises[k]
             elems = domains[k] if source is None else tables[source[1]].get(values[source[0]], ())
             for elem in elems:
                 values[k] = elem
                 if at_k and not all((values[a], values[b]) in rel for a, b, rel in at_k):
                     continue
-                if premises_at_k and not all(holds(*p) for p in premises_at_k):
+                if premises_at_k and not all(_holds(f, ms, values) for f, ms in premises_at_k):
                     continue
-                if fails_below(k + 1):
+                if found_below(k + 1):
                     return True
             return False
 
-        if all(holds(f, M.models(i)) for i, f in self.closed) and fails_below(0):
-            return False, Assignment(
-                (i, v, values[k]) for k, (i, v) in enumerate(self.slots)
-            )
-        return True, None
+        if all(_holds(f, M.models(i), values) for i, f in self.closed) and found_below(0):
+            return Assignment((i, v, e) for (i, v), e in zip(self.slots, values))
+        return None
+
+    def check(self, M: DfolModel) -> tuple[bool, Assignment | None]:
+        """(True, None) iff every admissible assignment over the slots that
+        satisfies the premises extends to one satisfying the conclusion;
+        otherwise (False, the first failing assignment in lexicographic
+        order)."""
+        n = len(self.slots)
+        c_index, c_formula = self.conclusion
+        c_models = M.models(c_index)
+        missing = self.missing
+
+        def fails(values: list, tables: list[dict[str, list[str]]]) -> bool:
+            choices = [tables[t].get(values[anchor], ()) for anchor, t in missing]
+            for combo in product(*choices):
+                values[n : n + len(combo)] = combo
+                if _holds(c_formula, c_models, values):
+                    return False
+            return True
+
+        witness = self.walk(M, fails)
+        return witness is None, witness
 
 
 def _image_number(images: list[tuple[tuple, bool]], key: tuple, forward: bool) -> int:
@@ -673,29 +695,6 @@ def _image_number(images: list[tuple[tuple, bool]], key: tuple, forward: bool) -
     if (key, forward) not in images:
         images.append((key, forward))
     return images.index((key, forward))
-
-
-def _slot_sources(
-    slots: list[tuple[str, Term]], images: list[tuple[tuple, bool]]
-) -> tuple[list[tuple[int, int] | None], list[list[tuple[int, int, tuple]]]]:
-    """(sources, conditions) of the slots, as `_RulePlan` describes them;
-    the image tables the sources read are numbered in `images`."""
-    pos = {s: k for k, s in enumerate(slots)}
-    conditions: list[list[tuple[int, int, tuple]]] = [[] for _ in slots]
-    for k, (index, var) in enumerate(slots):
-        if isinstance(var, ArrowVar):
-            anchor = pos[(var.foreign, Var(var.base))]
-            first, second = (k, anchor) if var.direction == ">" else (anchor, k)
-            conditions[max(k, anchor)].append((first, second, _relation_key(index, var)))
-    sources: list[tuple[int, int] | None] = []
-    for k, at_k in enumerate(conditions):
-        if at_k:
-            first, second, key = at_k[0]
-            forward = second == k
-            sources.append((first if forward else second, _image_number(images, key, forward)))
-        else:
-            sources.append(None)
-    return sources, [at_k[1:] for at_k in conditions]
 
 
 def _image(M: DfolModel, key: tuple, forward: bool) -> dict[str, list[str]]:

@@ -1032,18 +1032,19 @@ def term_arrow_vars(t: Term) -> set[ArrowVar]:
 
 
 def free_plain_vars(f: Formula) -> set[str]:
-    """Free plain variables; arrow variables are never bound and not included."""
-    cls = type(f)
-    if cls is Forall or cls is Exists:
-        return free_plain_vars(f.body) - {f.var}
+    """Free plain variables; arrow variables are never bound and not included.
+    Walked with an explicit stack, as arrow_vars is; each entry carries the
+    variables bound above it."""
     out: set[str] = set()
-    for t in atom_terms(f):
-        if type(t) is Var:
-            out.add(t.name)
-        elif type(t) is App:
-            out |= term_free_plain_vars(t)
-    for g in children(f):
-        out |= free_plain_vars(g)
+    stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
+        cls = type(g)
+        if cls is Forall or cls is Exists:
+            stack.append((g.body, bound | {g.var}))
+            continue
+        stack.extend((h, bound) for h in children(g))
+        out |= {t.name for t in subterms(atom_terms(g)) if type(t) is Var} - bound
     return out
 
 

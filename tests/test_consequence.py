@@ -5,6 +5,7 @@ over classical first-order consequence, and directionality."""
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -34,9 +35,9 @@ from dfol.consequence import (
     _labels_of,
     _local_models,
     _permuted_local,
-    _relation_subsets,
     _StagedSearch,
 )
+from dfol.semantics import _axiom_plan, _relation_key, _rule_plan
 from dfol.syntax import (
     And,
     Atom,
@@ -47,10 +48,15 @@ from dfol.syntax import (
     Falsum,
     Forall,
     Implies,
+    LabeledFormula,
     Not,
     Or,
+    Theory,
     Var,
+    arrow_vars,
 )
+from test_semantics import DIFF_AXIOMS, DIFF_RULES, DIFF_THEORY, IMAGE_AXIOMS, IMAGE_RULES, SLOT_RULES
+from test_syntax import formulas, formulas_at_2
 
 B11 = SearchBound(1, 1)
 B12 = SearchBound(1, 2)
@@ -232,6 +238,14 @@ def _brute_force_key(T, M):
         if best is None or (parts, rels) < best:
             best = (parts, rels)
     return (tuple(len(M.domains[i]) for i in indices), best)
+
+
+def _relation_subsets(src, tgt):
+    """Every relation from src to tgt, in the order of its mask: bit k
+    stands for the k-th pair in sorted order."""
+    pairs = sorted(product(src, tgt))
+    for mask in range(1 << len(pairs)):
+        yield frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
 
 
 def _brute_force_keys(T, bound):
@@ -795,3 +809,114 @@ def test_many_rules_ready_at_one_stage(copies):
         )
     )
     assert logical_consequence(T, [lf(T, "1: ~p")], lf(T, "2: q"), B12).holds
+
+
+# -- what a check reads, read off its plan ----------------------------------
+
+
+def _reference_formula_components(lf):
+    """The stages a check over lf reads: its index, and for every arrow
+    variable the relation it maps through and that relation's far endpoint,
+    whose domain arrow admissibility sweeps."""
+    comps = {("idx", lf.index)}
+    for av in arrow_vars(lf.formula):
+        comps.add(("idx", av.foreign))
+        comps.add(("rel", _relation_key(lf.index, av)))
+    return comps
+
+
+def _reference_components(lfs):
+    return tuple(set().union(*map(_reference_formula_components, lfs)))
+
+
+def _reference_labels_of(T):
+    labels = {None}
+    for lf in list(T.axioms) + [f for r in T.rules for f in list(r.premises) + [r.conclusion]]:
+        for av in arrow_vars(lf.formula):
+            labels.add(av.label)
+    return sorted(labels, key=lambda x: (x is not None, x))
+
+
+def _plan_stages(plan):
+    return {("idx", i) for i in plan.reads} | {("rel", key) for key in plan.relations}
+
+
+def _assert_footprints_match(T):
+    for rule in T.rules:
+        lfs = [*rule.premises, rule.conclusion]
+        assert _plan_stages(_rule_plan(rule)) == set(_reference_components(lfs)), rule
+    for ax in T.axioms:
+        plan = _axiom_plan(ax)
+        assert _plan_stages(plan) == set(_reference_components([ax])), ax
+        # axioms without arrows filter parts up front
+        assert (not plan.relations) == (not arrow_vars(ax.formula)), ax
+    assert _labels_of(T) == _reference_labels_of(T)
+
+
+FIXTURE_THEORIES = [
+    parse_theory((Path(__file__).parent / "fixtures" / name).read_text())
+    for name in ("cutglue.dfol", "magicbox.dfol", "magicbox_partial.dfol")
+]
+
+
+def test_plan_footprints_match_the_formula_components():
+    rules = DIFF_RULES + SLOT_RULES + IMAGE_RULES
+    _assert_footprints_match(Theory(DIFF_THEORY.indices, DIFF_THEORY.signatures, (), tuple(rules)))
+    axioms = DIFF_AXIOMS + IMAGE_AXIOMS
+    _assert_footprints_match(Theory(DIFF_THEORY.indices, DIFF_THEORY.signatures, tuple(axioms)))
+    for T in FIXTURE_THEORIES:
+        _assert_footprints_match(T)
+
+
+def test_an_anchor_only_index_reads_no_symbol():
+    T = parse_theory("index 1, 2\nsignature 1 { pred p/1; }")
+    plan = _rule_plan(parse_bridge_rule_text(T, "1: p(x^>2) ==> 1: p(x^>2)"))
+    assert plan.reads == {"1": frozenset({("pred", "p")}), "2": frozenset()}
+    assert plan.relations == {("1", "2", None)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(formulas(2), max_size=3), formulas_at_2(), formulas(3))
+def test_random_plan_footprints_match_the_formula_components(premises, conclusion, axiom):
+    rule = BridgeRule(tuple(LabeledFormula("1", p) for p in premises), LabeledFormula("2", conclusion))
+    ax = LabeledFormula("1", axiom)
+    _assert_footprints_match(Theory(("1", "2"), {}, (ax,), (rule,)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(two_index_theories().map(lambda case: case[0]), symbol_theories().map(lambda case: case[0])))
+def test_random_theory_footprints_match_the_formula_components(T):
+    _assert_footprints_match(T)
+
+
+# -- relation masks are decoded only once they pass the lex-leader test ----
+
+
+def test_relations_are_built_only_for_masks_that_reach_the_checks():
+    counts = {"built": 0, "reached": 0}
+    build, passes = consequence._relation, _StagedSearch._passes
+
+    def counting_build(pairs, mask):
+        counts["built"] += 1
+        return build(pairs, mask)
+
+    def counting_passes(self, t):
+        counts["reached"] += self.stages[t][0] == "rel"
+        return passes(self, t)
+
+    T = parse_theory("index 1, 2\nsignature 2 { pred s/0; }\nproperty sur 1 2")
+    with patch.object(consequence, "_relation", counting_build):
+        with patch.object(_StagedSearch, "_passes", counting_passes):
+            list(enumerate_models(T, SearchBound(2, 1)))
+            for premises, goal in _property_queries("inv", "1", "2"):
+                logical_consequence(T, premises, goal, SearchBound(2, 2))
+        pruned = dict(counts)
+        counts.update(built=0, reached=0)
+        with patch.object(_StagedSearch, "_passes", counting_passes):
+            with patch.object(consequence, "_StagedSearch", _UnprunedSearch):
+                list(enumerate_models(T, SearchBound(2, 1)))
+                for premises, goal in _property_queries("inv", "1", "2"):
+                    logical_consequence(T, premises, goal, SearchBound(2, 2))
+    assert pruned["built"] == pruned["reached"] > 0
+    # the lex-leader test skipped some masks before any relation was built
+    assert pruned["reached"] < counts["reached"] == counts["built"]

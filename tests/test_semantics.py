@@ -48,6 +48,7 @@ from dfol.syntax import (
     App,
     ArrowVar,
     Atom,
+    BridgeRule,
     Const,
     Eq,
     Exists,
@@ -394,6 +395,26 @@ def test_enumeration_order_is_lexicographic():
     keys = [(a.get("1", Var("x")), a.get("1", Var("y"))) for a in got]
     assert keys == sorted(keys)
     assert len(got) == len(DOM1) ** 2
+
+
+def test_enumeration_over_no_formulas_is_the_empty_assignment():
+    got = list(enumerate_admissible(mbox_model(), []))
+    assert got == [Assignment()]
+    assert len(got[0]) == 0
+
+
+def test_long_and_chain_rule_slots():
+    # a premise nested deeper than a recursive walk can follow
+    chain = Atom("p", (Var("x"),))
+    for _ in range(10000 - 1):
+        chain = And(Atom("q", (ArrowVar("y", ">", "2"),)), chain)
+    rule = BridgeRule((LabeledFormula("1", chain),), LabeledFormula("2", Atom("s", (Var("x"),))))
+    assert _rule_slots(rule) == [
+        ("1", Var("x")),
+        ("1", ArrowVar("y", ">", "2")),
+        ("2", Var("x")),
+        ("2", Var("y")),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from dfol.syntax import (
     classify_variables,
     formula_symbols,
     free_plain_vars,
+    is_closed,
     parse_bridge_rule_text,
     parse_formula,
     parse_labeled_formula,
@@ -48,6 +49,7 @@ from dfol.syntax import (
     render_term,
     render_theory,
     substitute,
+    term_free_plain_vars,
     tokenize,
 )
 
@@ -533,6 +535,45 @@ def test_long_and_chain_symbols():
     for a in reversed(atoms[:-1]):
         chain = And(a, chain)
     assert formula_symbols(chain) == {("pred", "p"), ("const", "c"), ("pred", "r"), ("func", "f")}
+
+
+def _reference_free_plain_vars(f):
+    """The recursive walk that free_plain_vars' stack walk replaced."""
+    cls = type(f)
+    if cls is Forall or cls is Exists:
+        return _reference_free_plain_vars(f.body) - {f.var}
+    out = set()
+    for t in atom_terms(f):
+        if type(t) is Var:
+            out.add(t.name)
+        elif type(t) is App:
+            out |= term_free_plain_vars(t)
+    for g in children(f):
+        out |= _reference_free_plain_vars(g)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(4))
+def test_free_plain_vars_matches_the_recursive_walk(phi):
+    assert free_plain_vars(phi) == _reference_free_plain_vars(phi)
+
+
+def test_long_and_chain_variables():
+    # nested deeper than a recursive walk can follow; z is bound in one
+    # conjunct and free in another
+    atoms = [
+        Atom("p", (Var("x"),)),
+        Forall("y", Atom("q", (Var("y"), App("f", (Var("z"),))))),
+        Exists("z", Atom("p", (ArrowVar("z", ">", "2"),))),
+    ]
+    chain = atoms[0]
+    for a in (atoms * 3334)[: 10000 - 1]:
+        chain = And(a, chain)
+    assert free_plain_vars(chain) == {"x", "z"}
+    assert not is_closed(chain)
+    free, arrows, closed, _ = classify_variables(LabeledFormula("1", chain))
+    assert (free, arrows, closed) == ({"x", "z"}, {ArrowVar("z", ">", "2")}, False)
 
 
 def formulas_at_2(depth: int = 2):
