@@ -235,39 +235,86 @@ class COr:
 ConceptExpr = CName | CNot | CAnd | COr
 
 
-def concept_formula(c: ConceptExpr, t: Term) -> Formula:
-    """Standard translation of a concept to a one-free-variable formula."""
+def _concept_kids(c: ConceptExpr) -> tuple[ConceptExpr, ...]:
     if isinstance(c, CName):
-        return Atom(c.name, (t,))
+        return ()
     if isinstance(c, CNot):
-        return Not(concept_formula(c.inner, t))
-    if isinstance(c, CAnd):
-        return And(concept_formula(c.lhs, t), concept_formula(c.rhs, t))
-    return Or(concept_formula(c.lhs, t), concept_formula(c.rhs, t))
+        return (c.inner,)
+    return (c.lhs, c.rhs)
+
+
+_FORMULA_OF = {CNot: Not, CAnd: And, COr: Or}
+
+
+def concept_formula(c: ConceptExpr, t: Term) -> Formula:
+    """Standard translation of a concept to a one-free-variable formula.
+    This and the other concept walks use explicit stacks, because the
+    concept parser reads `and`/`or` chains and `not`s in loops, nested
+    deeper than a recursive walk can follow; here the stack holds concepts
+    to translate and, below their operands, the connectives joining them."""
+    done: list[Formula] = []
+    stack: list = [c]
+    while stack:
+        d = stack.pop()
+        if isinstance(d, CName):
+            done.append(Atom(d.name, (t,)))
+        elif isinstance(d, type):  # a connective, its operands translated
+            n = 1 if d is Not else 2
+            done[-n:] = [d(*done[-n:])]
+        else:
+            stack += [_FORMULA_OF[type(d)], *reversed(_concept_kids(d))]
+    return done[0]
 
 
 def concept_names(c: ConceptExpr) -> set[str]:
-    if isinstance(c, CName):
-        return {c.name}
-    if isinstance(c, CNot):
-        return concept_names(c.inner)
-    return concept_names(c.lhs) | concept_names(c.rhs)
+    names: set[str] = set()
+    stack = [c]
+    while stack:
+        d = stack.pop()
+        if isinstance(d, CName):
+            names.add(d.name)
+        else:
+            stack += _concept_kids(d)
+    return names
 
 
 def render_concept(c: ConceptExpr, ctx: int = 0) -> str:
-    # precedence: or=0 < and=1 < not=2
-    if isinstance(c, CName):
-        return c.name
-    if isinstance(c, CNot):
-        return "not " + render_concept(c.inner, 2)
-    if isinstance(c, CAnd):
-        s = f"{render_concept(c.lhs, 1)} and {render_concept(c.rhs, 2)}"
-        return f"({s})" if ctx > 1 else s
-    s = f"{render_concept(c.lhs, 0)} or {render_concept(c.rhs, 1)}"
-    return f"({s})" if ctx > 0 else s
+    # precedence: or=0 < and=1 < not=2; the stack holds (concept, context
+    # precedence) pairs and closing texts still to be written, as in
+    # syntax.render_formula
+    out: list[str] = []
+    stack: list = [(c, ctx)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        d, ctx = item
+        if isinstance(d, CName):
+            out.append(d.name)
+        elif isinstance(d, CNot):
+            out.append("not ")
+            stack.append((d.inner, 2))
+        else:
+            prec, op = (1, " and ") if isinstance(d, CAnd) else (0, " or ")
+            if ctx > prec:
+                out.append("(")
+                stack.append(")")
+            stack += [(d.rhs, prec + 1), op, (d.lhs, prec)]
+    return "".join(out)
 
 
 def _parse_concept(ts: TokenStream) -> ConceptExpr:
+    """A concept; parentheses nested deeper than the interpreter's
+    recursion limit allows are a SyntaxError_ at the token where the parse
+    gave out (see syntax._whole_formula)."""
+    try:
+        return _parse_concept_or(ts)
+    except RecursionError:
+        raise ts.error("concept nested too deeply") from None
+
+
+def _parse_concept_or(ts: TokenStream) -> ConceptExpr:
     c = _parse_concept_and(ts)
     while ts.accept("ident", "or"):
         c = COr(c, _parse_concept_and(ts))
@@ -282,13 +329,17 @@ def _parse_concept_and(ts: TokenStream) -> ConceptExpr:
 
 
 def _parse_concept_unary(ts: TokenStream) -> ConceptExpr:
-    if ts.accept("ident", "not"):
-        return CNot(_parse_concept_unary(ts))
+    nots = 0
+    while ts.accept("ident", "not"):
+        nots += 1
     if ts.accept("("):
-        c = _parse_concept(ts)
+        c = _parse_concept_or(ts)
         ts.expect(")")
-        return c
-    return CName(_name_token(ts, "a concept name").text)
+    else:
+        c = CName(_name_token(ts, "a concept name").text)
+    for _ in range(nots):
+        c = CNot(c)
+    return c
 
 
 # ---------------------------------------------------------------------------

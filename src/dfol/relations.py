@@ -6,22 +6,28 @@ rules whose satisfaction, over models with nonempty local-model sets,
 coincides with the set-theoretic property of the underlying relations.
 With an empty model set the premise (or conclusion) side of a rule becomes
 vacuous and the equivalence degenerates; see tests for the two directions.
+
+The catalogue of those rules is DFOL text over the placeholder indices
+`i`, `j`, `k` (`_TEMPLATES`), parsed once at import; a tag's rules are the
+parsed templates with the placeholders renamed to the tag's indices.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .syntax import (
     ArrowVar,
     BridgeRule,
     Eq,
-    Exists,
     Falsum,
     LabeledFormula,
-    Not,
     RelationProperty,
-    Var,
+    Signature,
+    Theory,
+    children,
+    parse_bridge_rule_text,
+    rebuild,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,130 +41,69 @@ __all__ = [
 ]
 
 
-def _lf(index: str, formula) -> LabeledFormula:
-    return LabeledFormula(index, formula)
+_PLACEHOLDERS = ("i", "j", "k")
+
+# Each kind's rules, numbered from 1 in this order in their origins
+# `kind(indices)/n`; a kind of arity n uses the first n placeholders.
+_TEMPLATES = {
+    "fun": ("i: x^>j = y^>j ==> j: x = y",),
+    "tot": ("i: x = x ==> j: exists y. y = x^<i",),
+    "sur": ("j: x = x ==> i: exists y. y = x^>j",),
+    "inj": ("i: ~x^>j = y^>j ==> j: ~x = y",),
+    "inv": ("i: x = y^>j ==> j: y = x^>i", "j: x = y^>i ==> i: y = x^>j"),
+    # degenerate: the premises force x and y to coincide; kept verbatim so
+    # that the catalogue is complete
+    "congr": ("i: x = v^>j, i: y = v^>j, i: x = w^>j ==> j: y^<i = w",),
+    "com": ("j: x^<i = z^>k ==> k: x^<i = z", "i: x = z^>k ==> j: x^<i = z^>k"),
+    "euc": (
+        "j: y = z^>k ==> i: y^>j = z^>k",
+        "i: y^>j = z^>k ==> j: y = z^>k",
+        "j: y = z^<k ==> i: y^>j = z^>k",
+        "i: y^>j = z^>k ==> j: y = z^<k",
+    ),
+}
+
+_HOLES = Theory(_PLACEHOLDERS, {h: Signature() for h in _PLACEHOLDERS})
+_RULES = {
+    kind: tuple(parse_bridge_rule_text(_HOLES, text) for text in texts)
+    for kind, texts in _TEMPLATES.items()
+}
+
+
+def _instance(rule: BridgeRule, names: dict[str, str], origin: str) -> BridgeRule:
+    """rule with each index and each arrow variable's foreign index renamed
+    by names; the templates hold only equations of plain and arrow
+    variables under `~` and `exists`."""
+
+    def term(t):
+        return ArrowVar(t.base, t.direction, names[t.foreign]) if type(t) is ArrowVar else t
+
+    def walk(f):
+        if type(f) is Eq:
+            return Eq(term(f.lhs), term(f.rhs))
+        return rebuild(f, [walk(g) for g in children(f)])
+
+    def labeled(lf: LabeledFormula) -> LabeledFormula:
+        return LabeledFormula(names[lf.index], walk(lf.formula))
+
+    return BridgeRule(tuple(map(labeled, rule.premises)), labeled(rule.conclusion), origin)
 
 
 def bridge_rules_for_property(p: RelationProperty) -> list[BridgeRule]:
-    """Bridge rules characterizing p over nonempty local-model sets.
+    """Bridge rules characterizing p over nonempty local-model sets: its
+    kind's rows of `_TEMPLATES`, DFOL text over `i`, `j`, `k` parsed once at
+    import, renamed to p's indices, with origins `kind(indices)/1`, `/2`, ...
 
-    fun/tot/sur/inj need one rule, inv and com two, euc four; congr's single
-    rule is degenerate (its premises force the two source variables to
-    coincide) and is emitted verbatim for completeness of the catalog.
+    fun/tot/sur/inj need one rule, inv and com two, euc four.
     """
-    kind = p.kind
-    tag = f"{kind}({','.join(p.indices)})"
-
-    def rule(premises: Iterable[LabeledFormula], conclusion: LabeledFormula, n: int) -> BridgeRule:
-        return BridgeRule(tuple(premises), conclusion, origin=f"{tag}/{n}")
-
-    if kind == "fun":
-        i, j = p.indices
-        return [
-            rule(
-                [_lf(i, Eq(ArrowVar("x", ">", j), ArrowVar("y", ">", j)))],
-                _lf(j, Eq(Var("x"), Var("y"))),
-                1,
-            )
-        ]
-    if kind == "tot":
-        i, j = p.indices
-        return [
-            rule(
-                [_lf(i, Eq(Var("x"), Var("x")))],
-                _lf(j, Exists("y", Eq(Var("y"), ArrowVar("x", "<", i)))),
-                1,
-            )
-        ]
-    if kind == "sur":
-        i, j = p.indices
-        return [
-            rule(
-                [_lf(j, Eq(Var("x"), Var("x")))],
-                _lf(i, Exists("y", Eq(Var("y"), ArrowVar("x", ">", j)))),
-                1,
-            )
-        ]
-    if kind == "inj":
-        i, j = p.indices
-        return [
-            rule(
-                [_lf(i, Not(Eq(ArrowVar("x", ">", j), ArrowVar("y", ">", j))))],
-                _lf(j, Not(Eq(Var("x"), Var("y")))),
-                1,
-            )
-        ]
-    if kind == "inv":
-        i, j = p.indices
-        return [
-            rule(
-                [_lf(i, Eq(Var("x"), ArrowVar("y", ">", j)))],
-                _lf(j, Eq(Var("y"), ArrowVar("x", ">", i))),
-                1,
-            ),
-            rule(
-                [_lf(j, Eq(Var("x"), ArrowVar("y", ">", i)))],
-                _lf(i, Eq(Var("y"), ArrowVar("x", ">", j))),
-                2,
-            ),
-        ]
-    if kind == "congr":
-        i, j = p.indices
-        return [
-            rule(
-                [
-                    _lf(i, Eq(Var("x"), ArrowVar("v", ">", j))),
-                    _lf(i, Eq(Var("y"), ArrowVar("v", ">", j))),
-                    _lf(i, Eq(Var("x"), ArrowVar("w", ">", j))),
-                ],
-                _lf(j, Eq(ArrowVar("y", "<", i), Var("w"))),
-                1,
-            )
-        ]
-    if kind == "com":
-        i, j, k = p.indices
-        return [
-            rule(
-                [_lf(j, Eq(ArrowVar("x", "<", i), ArrowVar("z", ">", k)))],
-                _lf(k, Eq(ArrowVar("x", "<", i), Var("z"))),
-                1,
-            ),
-            rule(
-                [_lf(i, Eq(Var("x"), ArrowVar("z", ">", k)))],
-                _lf(j, Eq(ArrowVar("x", "<", i), ArrowVar("z", ">", k))),
-                2,
-            ),
-        ]
-    if kind == "euc":
-        i, j, k = p.indices
-        return [
-            rule(
-                [_lf(j, Eq(Var("y"), ArrowVar("z", ">", k)))],
-                _lf(i, Eq(ArrowVar("y", ">", j), ArrowVar("z", ">", k))),
-                1,
-            ),
-            rule(
-                [_lf(i, Eq(ArrowVar("y", ">", j), ArrowVar("z", ">", k)))],
-                _lf(j, Eq(Var("y"), ArrowVar("z", ">", k))),
-                2,
-            ),
-            rule(
-                [_lf(j, Eq(Var("y"), ArrowVar("z", "<", k)))],
-                _lf(i, Eq(ArrowVar("y", ">", j), ArrowVar("z", ">", k))),
-                3,
-            ),
-            rule(
-                [_lf(i, Eq(ArrowVar("y", ">", j), ArrowVar("z", ">", k)))],
-                _lf(j, Eq(Var("y"), ArrowVar("z", "<", k))),
-                4,
-            ),
-        ]
-    raise ValueError(f"unknown relation property {kind!r}")
+    names = dict(zip(_PLACEHOLDERS, p.indices))
+    tag = f"{p.kind}({','.join(p.indices)})"
+    return [_instance(rule, names, f"{tag}/{n}") for n, rule in enumerate(_RULES[p.kind], 1)]
 
 
 def inconsistency_propagation_rule(j: str, i: str) -> BridgeRule:
     """`j: false ==> i: false` — inconsistency propagation from j to i."""
-    return BridgeRule((_lf(j, Falsum()),), _lf(i, Falsum()), origin=f"incp({j},{i})")
+    return BridgeRule((LabeledFormula(j, Falsum()),), LabeledFormula(i, Falsum()), origin=f"incp({j},{i})")
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,8 @@ class RelationProperty:
                 f"property {self.kind} expects {self.ARITIES[self.kind]} indices,"
                 f" got {len(self.indices)}"
             )
+        if len(set(self.indices)) != len(self.indices):
+            raise ValueError(f"property {self.kind} needs distinct indices")
 
 
 @dataclass(frozen=True)

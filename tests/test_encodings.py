@@ -11,6 +11,8 @@ from itertools import takewhile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfol import (
     EncodeError,
@@ -35,6 +37,7 @@ from dfol import (
     render_theory,
 )
 from dfol import encodings
+from dfol.syntax import TokenStream, tokenize
 
 
 def property_rules(kind: str, *indices: str) -> int:
@@ -251,6 +254,122 @@ def test_a_900_conjunct_chain_encodes_or_raises_a_typed_error():
         encode_text("qml", text)
     except (EncodeError, SyntaxError_):
         pass
+
+
+# ---------------------------------------------------------------------------
+# deep concepts in the description-logic dialects
+# ---------------------------------------------------------------------------
+
+BLOCK = {"ddl": "ontology", "econn": "ontology", "pdl": "package"}
+
+
+def concept_axiom(dialect: str, concept: str) -> str:
+    block = BLOCK[dialect]
+    return f"{block} 1 {{ concepts C; axiom {concept} subclassof C; }}\n{block} 2 {{ concepts D; }}\n"
+
+
+@pytest.mark.parametrize("n", [1000, 10000])
+@pytest.mark.parametrize("dialect", sorted(BLOCK))
+def test_long_and_or_chains_and_negations_encode(dialect, n):
+    for concept, connective in [
+        (" and ".join(["C"] * n), And),
+        (" or ".join(["C"] * n), Or),
+        ("not " * n + "C", Not),
+    ]:
+        (ax,) = encode_text(dialect, concept_axiom(dialect, concept)).theory.axioms
+        f, depth = ax.formula.body.lhs, 0
+        while isinstance(f, connective):
+            f, depth = (f.body if connective is Not else f.lhs), depth + 1
+        assert depth == (n if connective is Not else n - 1)
+        assert f == Atom("C", (Var("x"),))
+
+
+@pytest.mark.parametrize("n", [1000, 10000])
+@pytest.mark.parametrize("dialect", sorted(BLOCK))
+def test_parentheses_nested_too_deeply_are_a_syntax_error(dialect, n):
+    text = concept_axiom(dialect, "(" * n + "C" + ")" * n)
+    with pytest.raises(SyntaxError_, match="nested too deeply") as err:
+        encode_text(dialect, text)
+    assert err.value.line == 1 and err.value.col > len(f"{BLOCK[dialect]} 1 {{ concepts C; axiom ")
+
+
+def _reference_concept_formula(c, t):
+    if isinstance(c, encodings.CName):
+        return Atom(c.name, (t,))
+    if isinstance(c, encodings.CNot):
+        return Not(_reference_concept_formula(c.inner, t))
+    if isinstance(c, encodings.CAnd):
+        return And(_reference_concept_formula(c.lhs, t), _reference_concept_formula(c.rhs, t))
+    return Or(_reference_concept_formula(c.lhs, t), _reference_concept_formula(c.rhs, t))
+
+
+def _reference_concept_names(c):
+    if isinstance(c, encodings.CName):
+        return {c.name}
+    if isinstance(c, encodings.CNot):
+        return _reference_concept_names(c.inner)
+    return _reference_concept_names(c.lhs) | _reference_concept_names(c.rhs)
+
+
+def _reference_render_concept(c, ctx=0):
+    # precedence: or=0 < and=1 < not=2
+    if isinstance(c, encodings.CName):
+        return c.name
+    if isinstance(c, encodings.CNot):
+        return "not " + _reference_render_concept(c.inner, 2)
+    if isinstance(c, encodings.CAnd):
+        s = f"{_reference_render_concept(c.lhs, 1)} and {_reference_render_concept(c.rhs, 2)}"
+        return f"({s})" if ctx > 1 else s
+    s = f"{_reference_render_concept(c.lhs, 0)} or {_reference_render_concept(c.rhs, 1)}"
+    return f"({s})" if ctx > 0 else s
+
+
+def _reference_parse_concept(ts):
+    c = _reference_parse_concept_and(ts)
+    while ts.accept("ident", "or"):
+        c = encodings.COr(c, _reference_parse_concept_and(ts))
+    return c
+
+
+def _reference_parse_concept_and(ts):
+    c = _reference_parse_concept_unary(ts)
+    while ts.accept("ident", "and"):
+        c = encodings.CAnd(c, _reference_parse_concept_unary(ts))
+    return c
+
+
+def _reference_parse_concept_unary(ts):
+    if ts.accept("ident", "not"):
+        return encodings.CNot(_reference_parse_concept_unary(ts))
+    if ts.accept("("):
+        c = _reference_parse_concept(ts)
+        ts.expect(")")
+        return c
+    return encodings.CName(ts.next().text)
+
+
+CONCEPTS = st.recursive(
+    st.sampled_from(["C", "D", "E"]).map(encodings.CName),
+    lambda inner: st.one_of(
+        inner.map(encodings.CNot),
+        st.tuples(inner, inner).map(lambda p: encodings.CAnd(*p)),
+        st.tuples(inner, inner).map(lambda p: encodings.COr(*p)),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=CONCEPTS, ctx=st.integers(0, 2))
+def test_concept_walks_match_the_recursive_reference(c, ctx):
+    x = Var("x")
+    assert encodings.concept_formula(c, x) == _reference_concept_formula(c, x)
+    assert encodings.concept_names(c) == _reference_concept_names(c)
+    text = encodings.render_concept(c, ctx)
+    assert text == _reference_render_concept(c, ctx)
+    parsed = encodings._parse_concept(TokenStream(tokenize(text)))
+    assert parsed == _reference_parse_concept(TokenStream(tokenize(text)))
+    assert parsed == c
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ and the characterization (property holds iff the rules are satisfied)."""
 from __future__ import annotations
 
 from itertools import product
+from typing import Iterable
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfol import relations
 from dfol.relations import (
     bridge_rules_for_property,
     inconsistency_propagation_rule,
@@ -15,7 +18,20 @@ from dfol.relations import (
     relation_preserves_order,
 )
 from dfol.semantics import DfolModel, make_local_model, satisfies_bridge_rule
-from dfol.syntax import RelationProperty, parse_theory, render_bridge_rule
+from dfol.syntax import (
+    ArrowVar,
+    BridgeRule,
+    Eq,
+    Exists,
+    LabeledFormula,
+    Not,
+    RelationProperty,
+    SyntaxError_,
+    Var,
+    arrow_vars,
+    parse_theory,
+    render_bridge_rule,
+)
 
 T2 = parse_theory("index 1, 2")
 T3 = parse_theory("index 1, 2, 3")
@@ -53,6 +69,164 @@ def test_rule_shapes_three_index():
         "2: y = z^<3 ==> 1: y^>2 = z^>3",
         "1: y^>2 = z^>3 ==> 2: y = z^<3",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the catalogue: parsed templates against the constructor reference
+# ---------------------------------------------------------------------------
+
+
+def _lf(index: str, formula) -> LabeledFormula:
+    return LabeledFormula(index, formula)
+
+
+def _reference_bridge_rules_for_property(p: RelationProperty) -> list[BridgeRule]:
+    """The catalogue as constructor calls, before it became rule text: the
+    reference the parsed templates are compared with.  Bridge rules
+    characterizing p over nonempty local-model sets.
+
+    fun/tot/sur/inj need one rule, inv and com two, euc four; congr's single
+    rule is degenerate (its premises force the two source variables to
+    coincide) and is emitted verbatim for completeness of the catalog.
+    """
+    kind = p.kind
+    tag = f"{kind}({','.join(p.indices)})"
+
+    def rule(premises: Iterable[LabeledFormula], conclusion: LabeledFormula, n: int) -> BridgeRule:
+        return BridgeRule(tuple(premises), conclusion, origin=f"{tag}/{n}")
+
+    if kind == "fun":
+        i, j = p.indices
+        return [
+            rule(
+                [_lf(i, Eq(ArrowVar("x", ">", j), ArrowVar("y", ">", j)))],
+                _lf(j, Eq(Var("x"), Var("y"))),
+                1,
+            )
+        ]
+    if kind == "tot":
+        i, j = p.indices
+        return [
+            rule(
+                [_lf(i, Eq(Var("x"), Var("x")))],
+                _lf(j, Exists("y", Eq(Var("y"), ArrowVar("x", "<", i)))),
+                1,
+            )
+        ]
+    if kind == "sur":
+        i, j = p.indices
+        return [
+            rule(
+                [_lf(j, Eq(Var("x"), Var("x")))],
+                _lf(i, Exists("y", Eq(Var("y"), ArrowVar("x", ">", j)))),
+                1,
+            )
+        ]
+    if kind == "inj":
+        i, j = p.indices
+        return [
+            rule(
+                [_lf(i, Not(Eq(ArrowVar("x", ">", j), ArrowVar("y", ">", j))))],
+                _lf(j, Not(Eq(Var("x"), Var("y")))),
+                1,
+            )
+        ]
+    if kind == "inv":
+        i, j = p.indices
+        return [
+            rule(
+                [_lf(i, Eq(Var("x"), ArrowVar("y", ">", j)))],
+                _lf(j, Eq(Var("y"), ArrowVar("x", ">", i))),
+                1,
+            ),
+            rule(
+                [_lf(j, Eq(Var("x"), ArrowVar("y", ">", i)))],
+                _lf(i, Eq(Var("y"), ArrowVar("x", ">", j))),
+                2,
+            ),
+        ]
+    if kind == "congr":
+        i, j = p.indices
+        return [
+            rule(
+                [
+                    _lf(i, Eq(Var("x"), ArrowVar("v", ">", j))),
+                    _lf(i, Eq(Var("y"), ArrowVar("v", ">", j))),
+                    _lf(i, Eq(Var("x"), ArrowVar("w", ">", j))),
+                ],
+                _lf(j, Eq(ArrowVar("y", "<", i), Var("w"))),
+                1,
+            )
+        ]
+    if kind == "com":
+        i, j, k = p.indices
+        return [
+            rule(
+                [_lf(j, Eq(ArrowVar("x", "<", i), ArrowVar("z", ">", k)))],
+                _lf(k, Eq(ArrowVar("x", "<", i), Var("z"))),
+                1,
+            ),
+            rule(
+                [_lf(i, Eq(Var("x"), ArrowVar("z", ">", k)))],
+                _lf(j, Eq(ArrowVar("x", "<", i), ArrowVar("z", ">", k))),
+                2,
+            ),
+        ]
+    if kind == "euc":
+        i, j, k = p.indices
+        return [
+            rule(
+                [_lf(j, Eq(Var("y"), ArrowVar("z", ">", k)))],
+                _lf(i, Eq(ArrowVar("y", ">", j), ArrowVar("z", ">", k))),
+                1,
+            ),
+            rule(
+                [_lf(i, Eq(ArrowVar("y", ">", j), ArrowVar("z", ">", k)))],
+                _lf(j, Eq(Var("y"), ArrowVar("z", ">", k))),
+                2,
+            ),
+            rule(
+                [_lf(j, Eq(Var("y"), ArrowVar("z", "<", k)))],
+                _lf(i, Eq(ArrowVar("y", ">", j), ArrowVar("z", ">", k))),
+                3,
+            ),
+            rule(
+                [_lf(i, Eq(ArrowVar("y", ">", j), ArrowVar("z", ">", k)))],
+                _lf(j, Eq(Var("y"), ArrowVar("z", "<", k))),
+                4,
+            ),
+        ]
+    raise ValueError(f"unknown relation property {kind!r}")
+
+
+@pytest.mark.parametrize("indices", [("1", "2", "3"), ("k2", "k1", "x"), ("a b", "forall", "0")])
+@pytest.mark.parametrize("kind", sorted(RelationProperty.ARITIES))
+def test_templates_give_the_reference_rules(kind, indices):
+    p = RelationProperty(kind, indices[: RelationProperty.ARITIES[kind]])
+    rules, expected = bridge_rules_for_property(p), _reference_bridge_rules_for_property(p)
+    assert rules == expected
+    assert [r.origin for r in rules] == [r.origin for r in expected]
+
+
+def test_every_kind_has_templates_over_its_first_placeholders():
+    assert relations._TEMPLATES.keys() == RelationProperty.ARITIES.keys()
+    for kind, arity in RelationProperty.ARITIES.items():
+        for rule in relations._RULES[kind]:
+            used = set()
+            for lf in (*rule.premises, rule.conclusion):
+                used |= {lf.index} | {a.foreign for a in arrow_vars(lf.formula)}
+            assert used == set(relations._PLACEHOLDERS[:arity]), (kind, render_bridge_rule(rule))
+
+
+def test_a_property_needs_distinct_indices():
+    with pytest.raises(ValueError, match="distinct"):
+        RelationProperty("inv", ("1", "1"))
+    with pytest.raises(ValueError, match="distinct"):
+        RelationProperty("com", ("1", "2", "1"))
+    # the parser checks before it builds the tag, so the error stays a
+    # SyntaxError_ with a position
+    with pytest.raises(SyntaxError_, match="distinct"):
+        parse_theory("index 1, 2\nproperty inv 1 1\n")
 
 
 def test_inconsistency_propagation_shape():
