@@ -9,6 +9,11 @@ freshly invented symbol.  Fresh names are content-addressed (an 8-hex
 digest of the named formula), so the same input always produces the same
 output and distinct inputs produce distinct theories.
 
+In the description-logic dialects (ddl, econn, pdl) a concept parses
+straight into its standard first-order translation, a formula in the one
+free variable x: `C and not D` is `C(x) & ~D(x)`.  A rule that reads it
+at another term substitutes that term for x.
+
 The dialect parsers reject at the user's line and column what the core
 parser would: a function or predicate name as a term, a numeric concept
 or role, a name of two kinds in one block.  The encoders raise
@@ -88,7 +93,6 @@ context domains isomorphic.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -124,6 +128,7 @@ from .syntax import (
     _whole_formula,
     atom_terms,
     children,
+    formula_symbols,
     free_plain_vars,
     rebuild,
     render_formula,
@@ -206,105 +211,14 @@ def _bridge(premises: Iterable[tuple[str, Formula]], conclusion: tuple[str, Form
 
 
 # ---------------------------------------------------------------------------
-# Concept expressions (shared by the description-logic dialects)
+# Concept expressions (shared by the description-logic dialects), parsed
+# into their formulas at x.  `and`/`or` chains and `not`s are read in loops
+# and nest deeper than a recursive walk can follow; hashing, equality,
+# substitution and rendering of the formulas walk with explicit stacks.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CName:
-    name: str
-
-
-@dataclass(frozen=True)
-class CNot:
-    inner: "ConceptExpr"
-
-
-@dataclass(frozen=True)
-class CAnd:
-    lhs: "ConceptExpr"
-    rhs: "ConceptExpr"
-
-
-@dataclass(frozen=True)
-class COr:
-    lhs: "ConceptExpr"
-    rhs: "ConceptExpr"
-
-
-ConceptExpr = CName | CNot | CAnd | COr
-
-
-def _concept_kids(c: ConceptExpr) -> tuple[ConceptExpr, ...]:
-    if isinstance(c, CName):
-        return ()
-    if isinstance(c, CNot):
-        return (c.inner,)
-    return (c.lhs, c.rhs)
-
-
-_FORMULA_OF = {CNot: Not, CAnd: And, COr: Or}
-
-
-def concept_formula(c: ConceptExpr, t: Term) -> Formula:
-    """Standard translation of a concept to a one-free-variable formula.
-    This and the other concept walks use explicit stacks, because the
-    concept parser reads `and`/`or` chains and `not`s in loops, nested
-    deeper than a recursive walk can follow; here the stack holds concepts
-    to translate and, below their operands, the connectives joining them."""
-    done: list[Formula] = []
-    stack: list = [c]
-    while stack:
-        d = stack.pop()
-        if isinstance(d, CName):
-            done.append(Atom(d.name, (t,)))
-        elif isinstance(d, type):  # a connective, its operands translated
-            n = 1 if d is Not else 2
-            done[-n:] = [d(*done[-n:])]
-        else:
-            stack += [_FORMULA_OF[type(d)], *reversed(_concept_kids(d))]
-    return done[0]
-
-
-def concept_names(c: ConceptExpr) -> set[str]:
-    names: set[str] = set()
-    stack = [c]
-    while stack:
-        d = stack.pop()
-        if isinstance(d, CName):
-            names.add(d.name)
-        else:
-            stack += _concept_kids(d)
-    return names
-
-
-def render_concept(c: ConceptExpr, ctx: int = 0) -> str:
-    # precedence: or=0 < and=1 < not=2; the stack holds (concept, context
-    # precedence) pairs and closing texts still to be written, as in
-    # syntax.render_formula
-    out: list[str] = []
-    stack: list = [(c, ctx)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        d, ctx = item
-        if isinstance(d, CName):
-            out.append(d.name)
-        elif isinstance(d, CNot):
-            out.append("not ")
-            stack.append((d.inner, 2))
-        else:
-            prec, op = (1, " and ") if isinstance(d, CAnd) else (0, " or ")
-            if ctx > prec:
-                out.append("(")
-                stack.append(")")
-            stack += [(d.rhs, prec + 1), op, (d.lhs, prec)]
-    return "".join(out)
-
-
-def _parse_concept(ts: TokenStream) -> ConceptExpr:
+def _parse_concept(ts: TokenStream) -> Formula:
     """A concept; parentheses nested deeper than the interpreter's
     recursion limit allows are a SyntaxError_ at the token where the parse
     gave out (see syntax._whole_formula)."""
@@ -314,21 +228,21 @@ def _parse_concept(ts: TokenStream) -> ConceptExpr:
         raise ts.error("concept nested too deeply") from None
 
 
-def _parse_concept_or(ts: TokenStream) -> ConceptExpr:
+def _parse_concept_or(ts: TokenStream) -> Formula:
     c = _parse_concept_and(ts)
     while ts.accept("ident", "or"):
-        c = COr(c, _parse_concept_and(ts))
+        c = Or(c, _parse_concept_and(ts))
     return c
 
 
-def _parse_concept_and(ts: TokenStream) -> ConceptExpr:
+def _parse_concept_and(ts: TokenStream) -> Formula:
     c = _parse_concept_unary(ts)
     while ts.accept("ident", "and"):
-        c = CAnd(c, _parse_concept_unary(ts))
+        c = And(c, _parse_concept_unary(ts))
     return c
 
 
-def _parse_concept_unary(ts: TokenStream) -> ConceptExpr:
+def _parse_concept_unary(ts: TokenStream) -> Formula:
     nots = 0
     while ts.accept("ident", "not"):
         nots += 1
@@ -336,9 +250,9 @@ def _parse_concept_unary(ts: TokenStream) -> ConceptExpr:
         c = _parse_concept_or(ts)
         ts.expect(")")
     else:
-        c = CName(_name_token(ts, "a concept name").text)
+        c = Atom(_name_token(ts, "a concept name").text, (Var("x"),))
     for _ in range(nots):
-        c = CNot(c)
+        c = Not(c)
     return c
 
 
@@ -355,7 +269,7 @@ class OntologyBlock:
     concepts: tuple[str, ...] = ()
     roles: tuple[str, ...] = ()
     individuals: tuple[str, ...] = ()
-    axioms: tuple[tuple[ConceptExpr, ConceptExpr], ...] = ()
+    axioms: tuple[tuple[Formula, Formula], ...] = ()  # concepts at x
 
     def kind_of(self, name: str) -> str | None:
         if name in self.concepts:
@@ -392,7 +306,7 @@ def _parse_block(ts: TokenStream, *, allow_roles: bool = True) -> OntologyBlock:
     concepts: tuple[str, ...] = ()
     roles: tuple[str, ...] = ()
     individuals: tuple[str, ...] = ()
-    axioms: list[tuple[ConceptExpr, ConceptExpr]] = []
+    axioms: list[tuple[Formula, Formula]] = []
     kinds: dict[str, str] = {}
     while not ts.accept("}"):
         if ts.accept("ident", "concepts"):
@@ -412,8 +326,8 @@ def _parse_block(ts: TokenStream, *, allow_roles: bool = True) -> OntologyBlock:
     return OntologyBlock(name, concepts, roles, individuals, tuple(axioms))
 
 
-def _check_concept(c: ConceptExpr, block: OntologyBlock) -> None:
-    for n in concept_names(c):
+def _check_concept(c: Formula, block: OntologyBlock) -> None:
+    for _, n in sorted(formula_symbols(c)):
         if n not in block.concepts:
             raise EncodeError(f"unknown concept {n!r} in ontology {block.name}")
 
@@ -423,7 +337,6 @@ def _blocks_theory(blocks: Sequence[OntologyBlock], consts=None, preds=None) -> 
     blocks; `consts` and `preds` map a block name to symbols it gains."""
     consts, preds = consts or {}, preds or {}
     theory = Theory(tuple(b.name for b in blocks))
-    x = Var("x")
     for b in blocks:
         arities = (*((c, 1) for c in b.concepts), *((r, 2) for r in b.roles), *preds.get(b.name, ()))
         individuals = (*b.individuals, *consts.get(b.name, ()))
@@ -431,8 +344,7 @@ def _blocks_theory(blocks: Sequence[OntologyBlock], consts=None, preds=None) -> 
         for lhs, rhs in b.axioms:
             _check_concept(lhs, b)
             _check_concept(rhs, b)
-            body = Implies(concept_formula(lhs, x), concept_formula(rhs, x))
-            theory.axioms += (LabeledFormula(b.name, Forall("x", body)),)
+            theory.axioms += (LabeledFormula(b.name, Forall("x", Implies(lhs, rhs))),)
     return theory
 
 
@@ -448,9 +360,9 @@ class DdlMapping:
     direction: str  # "into" or "onto"
     entity: str
     src_index: str
-    src: ConceptExpr | str
+    src: Formula | str  # a concept at x, or a role or individual name
     dst_index: str
-    dst: ConceptExpr | str
+    dst: Formula | str
 
 
 @dataclass(frozen=True)
@@ -511,9 +423,8 @@ def _resolve_mapping(spec: DdlSpec, m: DdlMapping) -> DdlMapping:
         raise EncodeError(f"mapping must relate distinct ontologies, got {m.src_index}")
     kinds = []
     for side, block in ((m.src, src_block), (m.dst, dst_block)):
-        assert isinstance(side, ConceptExpr)
-        if isinstance(side, CName) and block.kind_of(side.name) in ("role", "individual"):
-            kinds.append(block.kind_of(side.name))
+        if type(side) is Atom and block.kind_of(side.pred) in ("role", "individual"):
+            kinds.append(block.kind_of(side.pred))
         else:
             _check_concept(side, block)
             kinds.append("concept")
@@ -522,17 +433,15 @@ def _resolve_mapping(spec: DdlSpec, m: DdlMapping) -> DdlMapping:
     entity = kinds[0]
     if entity == "concept":
         return DdlMapping(m.direction, entity, m.src_index, m.src, m.dst_index, m.dst)
-    assert isinstance(m.src, CName) and isinstance(m.dst, CName)
-    return DdlMapping(m.direction, entity, m.src_index, m.src.name, m.dst_index, m.dst.name)
+    assert type(m.src) is Atom and type(m.dst) is Atom
+    return DdlMapping(m.direction, entity, m.src_index, m.src.pred, m.dst_index, m.dst.pred)
 
 
 def ddl_mapping_rule(m: DdlMapping) -> BridgeRule:
     """One bridge rule per mapping; `onto` swaps premise and conclusion."""
     i, j = m.src_index, m.dst_index
     if m.entity == "concept":
-        assert isinstance(m.src, ConceptExpr) and isinstance(m.dst, ConceptExpr)
-        src_f = concept_formula(m.src, ArrowVar("x", ">", j))
-        dst_f = concept_formula(m.dst, Var("x"))
+        src_f, dst_f = substitute(m.src, "x", ArrowVar("x", ">", j)), m.dst
     elif m.entity == "role":
         src_f = Atom(str(m.src), (ArrowVar("x", ">", j), ArrowVar("y", ">", j)))
         dst_f = Atom(str(m.dst), (Var("x"), Var("y")))
@@ -567,11 +476,11 @@ class EconnAxiom:
     """`axiom i: C subclassof <restriction> E. D` with D in E's target."""
 
     index: str
-    lhs: ConceptExpr
+    lhs: Formula  # a concept at x
     restriction: str  # "exists", "all", "atleast", "atmost"
     bound: int  # 0 for exists/all
     link: str
-    rhs: ConceptExpr
+    rhs: Formula
 
 
 @dataclass(frozen=True)
@@ -592,7 +501,7 @@ def parse_econn(text: str) -> EconnSpec:
     blocks: list[OntologyBlock] = []
     links: list[EconnLink] = []
     axioms: list[EconnAxiom] = []
-    local: list[tuple[str, ConceptExpr, ConceptExpr]] = []
+    local: list[tuple[str, Formula, Formula]] = []
     while not ts.at("eof"):
         if ts.accept("ident", "ontology"):
             block = _parse_block(ts, allow_roles=False)
@@ -660,20 +569,18 @@ def econn_axiom_rule(spec: EconnSpec, ax: EconnAxiom) -> BridgeRule:
     link = spec.link(ax.link)
     i, j, label = link.src, link.dst, link.name
     if ax.restriction == "exists":
-        prem = concept_formula(ax.lhs, Var("x"))
-        conc = concept_formula(ax.rhs, ArrowVar("x", "<", i, label))
-        return _bridge([(i, prem)], (j, conc))
+        conc = substitute(ax.rhs, "x", ArrowVar("x", "<", i, label))
+        return _bridge([(i, ax.lhs)], (j, conc))
     if ax.restriction == "all":
-        prem = concept_formula(ax.lhs, ArrowVar("x", ">", j, label))
-        conc = concept_formula(ax.rhs, Var("x"))
-        return _bridge([(i, prem)], (j, conc))
+        prem = substitute(ax.lhs, "x", ArrowVar("x", ">", j, label))
+        return _bridge([(i, prem)], (j, ax.rhs))
     if ax.restriction == "atleast":
         # n premise copies; any n elements with >= n successors each admit
         # pairwise-distinct representatives, so the sweep stays sound.
         names = [f"x{k}" for k in range(1, ax.bound + 1)]
-        premises = [(i, concept_formula(ax.lhs, Var(v))) for v in names]
+        premises = [(i, substitute(ax.lhs, "x", Var(v))) for v in names]
         arrows = [ArrowVar(v, "<", i, label) for v in names]
-        conjuncts: list[Formula] = [concept_formula(ax.rhs, a) for a in arrows]
+        conjuncts: list[Formula] = [substitute(ax.rhs, "x", a) for a in arrows]
         for p in range(len(arrows)):
             for q in range(p + 1, len(arrows)):
                 conjuncts.append(Not(Eq(arrows[p], arrows[q])))
@@ -683,7 +590,7 @@ def econn_axiom_rule(spec: EconnSpec, ax: EconnAxiom) -> BridgeRule:
         return _bridge(premises, (j, conc))
     # atmost: sweep n+1 successors of one element; two must coincide.
     names = [f"x{k}" for k in range(1, ax.bound + 2)]
-    premises = [(i, concept_formula(ax.lhs, Var("x")))]
+    premises = [(i, ax.lhs)]
     premises += [(i, Eq(Var("x"), ArrowVar(v, ">", j, label))) for v in names]
     disjuncts: list[Formula] = []
     for k, v in enumerate(names):
@@ -691,7 +598,7 @@ def econn_axiom_rule(spec: EconnSpec, ax: EconnAxiom) -> BridgeRule:
         merged = others[0]
         for extra in others[1:]:
             merged = Or(merged, extra)
-        disjuncts.append(Implies(concept_formula(ax.rhs, Var(v)), merged))
+        disjuncts.append(Implies(substitute(ax.rhs, "x", Var(v)), merged))
     conc = disjuncts[0]
     for extra in disjuncts[1:]:
         conc = Or(conc, extra)
@@ -940,19 +847,36 @@ class _BoxRegistry:
 
 
 def qml_translate(f, index: int, registry: _BoxRegistry) -> Formula:
-    """Replace each boxed subformula with a fresh atom one index up."""
-    if isinstance(f, BoxF):
-        if index == 0:
-            raise EncodeError("box nesting exceeds the declared evaluation index")
-        body = qml_translate(f.body, index - 1, registry)
-        name, params = registry.register(index, body)
-        bind = dict(f.bindings)
-        for v in bind:
-            if v not in params:
-                raise EncodeError(f"binding for {v!r} which is not free in the box body")
-        args = tuple(bind.get(v, Var(v)) for v in params)
-        return Atom(name, args)
-    return rebuild(f, [qml_translate(g, index, registry) for g in children(f)])
+    """Replace each boxed subformula with a fresh atom one index up.
+    A post-order walk with an explicit stack, since & chains nest deeper
+    than a recursive walk can follow: each entry is a node, its index, and
+    whether its subformulas are translated, their results then being the
+    last entries of `done`; boxes register left to right, inner first."""
+    done: list[Formula] = []
+    stack: list = [(f, index, False)]
+    while stack:
+        g, i, visited = stack.pop()
+        if type(g) is BoxF:
+            if not visited:
+                if i == 0:
+                    raise EncodeError("box nesting exceeds the declared evaluation index")
+                stack += [(g, i, True), (g.body, i - 1, False)]
+                continue
+            name, params = registry.register(i, done.pop())
+            bind = dict(g.bindings)
+            for v in bind:
+                if v not in params:
+                    raise EncodeError(f"binding for {v!r} which is not free in the box body")
+            done.append(Atom(name, tuple(bind.get(v, Var(v)) for v in params)))
+            continue
+        kids = children(g)
+        if visited or not kids:
+            at = len(done) - len(kids)
+            done[at:] = [rebuild(g, done[at:])]
+        else:
+            stack.append((g, i, True))
+            stack += [(h, i, False) for h in reversed(kids)]
+    return done[0]
 
 
 def _arrowed(f: Formula, params: tuple[str, ...], direction: str, foreign: str) -> Formula:
@@ -961,21 +885,6 @@ def _arrowed(f: Formula, params: tuple[str, ...], direction: str, foreign: str) 
     return f
 
 
-def _nesting_checked(encode):
-    """encode, with input nested deeper than the interpreter's recursion
-    limit lets it translate reported as an EncodeError (see _whole_formula)."""
-
-    @functools.wraps(encode)
-    def checked(spec):
-        try:
-            return encode(spec)
-        except RecursionError:
-            raise EncodeError("formula nested too deeply to encode") from None
-
-    return checked
-
-
-@_nesting_checked
 def encode_qml(spec: QmlSpec) -> EncodedTheory:
     depth = max((qml_depth(f) for f in spec.formulas), default=0)
     indices = tuple(str(i) for i in range(depth + 1))
@@ -1134,15 +1043,30 @@ class _WffRegistry:
 
 
 def qlc_translate(f, registry: _WffRegistry) -> Formula:
-    if isinstance(f, IstF):
-        body = qlc_translate(f.body, registry)
-        name, params = registry.register(f.context, body)
-        wff: Term = Const(name) if not params else App(name, tuple(Var(v) for v in params))
-        return Atom("ist", (Const(f.context), wff))
-    return rebuild(f, [qlc_translate(g, registry) for g in children(f)])
+    """Replace each `ist(k, phi)` with the atom `ist(k, w)`, w the fresh
+    term naming phi; walked as qml_translate walks."""
+    done: list[Formula] = []
+    stack: list = [(f, False)]
+    while stack:
+        g, visited = stack.pop()
+        if type(g) is IstF:
+            if not visited:
+                stack += [(g, True), (g.body, False)]
+                continue
+            name, params = registry.register(g.context, done.pop())
+            wff: Term = Const(name) if not params else App(name, tuple(Var(v) for v in params))
+            done.append(Atom("ist", (Const(g.context), wff)))
+            continue
+        kids = children(g)
+        if visited or not kids:
+            at = len(done) - len(kids)
+            done[at:] = [rebuild(g, done[at:])]
+        else:
+            stack.append((g, True))
+            stack += [(h, False) for h in reversed(kids)]
+    return done[0]
 
 
-@_nesting_checked
 def encode_qlc(spec: QlcSpec) -> EncodedTheory:
     if len(spec.contexts) < 2:
         raise EncodeError("need at least two contexts")

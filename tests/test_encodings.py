@@ -1,12 +1,16 @@
 """Encoder tests: negation and `true` in the qml and qlc dialects, which
 reach every connective of the shared formula traversal; errors at the
-user's input; long chains; and the text of every encoding parsing back to
-its theory."""
+user's input; long chains and deep concepts; and the text of every
+encoding parsing back to its theory, the same under any string-hash seed."""
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
 import sys
+from dataclasses import dataclass
 from itertools import takewhile
 from pathlib import Path
 
@@ -247,13 +251,38 @@ def test_a_300_conjunct_chain_encodes(dialect, text):
     assert (f, depth) == (PA, 299)
 
 
-def test_a_900_conjunct_chain_encodes_or_raises_a_typed_error():
+def test_a_900_conjunct_chain_under_a_box_encodes():
     text = QML_SIG + f"formula box ({chain(900)})\n"
     assert qml_depth(parse_qml(text).formulas[0]) == 1
-    try:
-        encode_text("qml", text)
-    except (EncodeError, SyntaxError_):
-        pass
+    enc = encode_text("qml", text)
+    assert [name for name, _ in enc.names] == [ax.formula.pred for ax in enc.theory.axioms]
+
+
+def test_900_negations_under_a_box_encode():
+    enc = encode_text("qml", QML_SIG + "formula box " + "~" * 900 + "p(a)\n")
+    ((_, meaning),) = enc.names
+    assert meaning == f"box {'~' * 900}p(a) (index 1)"
+
+
+@pytest.mark.parametrize(
+    "dialect, text",
+    [
+        ("qml", QML_SIG + f"formula box ({chain(10000)})\n"),
+        ("qlc", QLC_HEADER + f"formula k1: ist(k2, {chain(10000)})\n"),
+    ],
+    ids=["qml-box", "qlc-ist"],
+)
+def test_a_10000_conjunct_chain_under_a_box_or_ist_encodes(dialect, text):
+    # the chain is the body the fresh name stands for
+    enc = encode_text(dialect, text)
+    (ax,) = enc.theory.axioms
+    ((fresh, _),) = enc.names
+    assert (ax.formula.pred if dialect == "qml" else ax.formula.args[1].name) == fresh
+    bodies = [r.conclusion.formula for r in enc.theory.rules if r.origin is None]
+    f, depth = next(b for b in bodies if isinstance(b, And)), 0
+    while isinstance(f, And):
+        f, depth = f.lhs, depth + 1
+    assert (f, depth) == (PA, 9999)
 
 
 # ---------------------------------------------------------------------------
@@ -293,67 +322,68 @@ def test_parentheses_nested_too_deeply_are_a_syntax_error(dialect, n):
     assert err.value.line == 1 and err.value.col > len(f"{BLOCK[dialect]} 1 {{ concepts C; axiom ")
 
 
+def test_a_3000_conjunct_concept_compares_and_hashes():
+    # a parsed concept is a formula, so == and hash walk it with explicit stacks
+    text = concept_axiom("ddl", " and ".join(["C"] * 3000))
+    assert encodings.parse_ddl(text) == encodings.parse_ddl(text)
+    assert isinstance(hash(encodings.parse_ddl(text)), int)
+
+
+# A recursive concept tree, its renderer and its standard translation: the
+# reference the concept parser is checked against.
+
+
+@dataclass(frozen=True)
+class CName:
+    name: str
+
+
+@dataclass(frozen=True)
+class CNot:
+    inner: object
+
+
+@dataclass(frozen=True)
+class CAnd:
+    lhs: object
+    rhs: object
+
+
+@dataclass(frozen=True)
+class COr:
+    lhs: object
+    rhs: object
+
+
 def _reference_concept_formula(c, t):
-    if isinstance(c, encodings.CName):
+    if isinstance(c, CName):
         return Atom(c.name, (t,))
-    if isinstance(c, encodings.CNot):
+    if isinstance(c, CNot):
         return Not(_reference_concept_formula(c.inner, t))
-    if isinstance(c, encodings.CAnd):
+    if isinstance(c, CAnd):
         return And(_reference_concept_formula(c.lhs, t), _reference_concept_formula(c.rhs, t))
     return Or(_reference_concept_formula(c.lhs, t), _reference_concept_formula(c.rhs, t))
 
 
-def _reference_concept_names(c):
-    if isinstance(c, encodings.CName):
-        return {c.name}
-    if isinstance(c, encodings.CNot):
-        return _reference_concept_names(c.inner)
-    return _reference_concept_names(c.lhs) | _reference_concept_names(c.rhs)
-
-
 def _reference_render_concept(c, ctx=0):
     # precedence: or=0 < and=1 < not=2
-    if isinstance(c, encodings.CName):
+    if isinstance(c, CName):
         return c.name
-    if isinstance(c, encodings.CNot):
+    if isinstance(c, CNot):
         return "not " + _reference_render_concept(c.inner, 2)
-    if isinstance(c, encodings.CAnd):
+    if isinstance(c, CAnd):
         s = f"{_reference_render_concept(c.lhs, 1)} and {_reference_render_concept(c.rhs, 2)}"
         return f"({s})" if ctx > 1 else s
     s = f"{_reference_render_concept(c.lhs, 0)} or {_reference_render_concept(c.rhs, 1)}"
     return f"({s})" if ctx > 0 else s
 
 
-def _reference_parse_concept(ts):
-    c = _reference_parse_concept_and(ts)
-    while ts.accept("ident", "or"):
-        c = encodings.COr(c, _reference_parse_concept_and(ts))
-    return c
-
-
-def _reference_parse_concept_and(ts):
-    c = _reference_parse_concept_unary(ts)
-    while ts.accept("ident", "and"):
-        c = encodings.CAnd(c, _reference_parse_concept_unary(ts))
-    return c
-
-
-def _reference_parse_concept_unary(ts):
-    if ts.accept("ident", "not"):
-        return encodings.CNot(_reference_parse_concept_unary(ts))
-    if ts.accept("("):
-        c = _reference_parse_concept(ts)
-        ts.expect(")")
-        return c
-    return encodings.CName(ts.next().text)
-
-
 CONCEPTS = st.recursive(
-    st.sampled_from(["C", "D", "E"]).map(encodings.CName),
+    st.sampled_from(["C", "D", "E"]).map(CName),
     lambda inner: st.one_of(
-        inner.map(encodings.CNot),
-        st.tuples(inner, inner).map(lambda p: encodings.CAnd(*p)),
-        st.tuples(inner, inner).map(lambda p: encodings.COr(*p)),
+        inner.map(CNot),
+        st.tuples(inner, inner).map(lambda p: CAnd(*p)),
+        st.tuples(inner, inner).map(lambda p: COr(*p)),
     ),
     max_leaves=12,
 )
@@ -362,14 +392,9 @@ CONCEPTS = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(c=CONCEPTS, ctx=st.integers(0, 2))
 def test_concept_walks_match_the_recursive_reference(c, ctx):
-    x = Var("x")
-    assert encodings.concept_formula(c, x) == _reference_concept_formula(c, x)
-    assert encodings.concept_names(c) == _reference_concept_names(c)
-    text = encodings.render_concept(c, ctx)
-    assert text == _reference_render_concept(c, ctx)
+    text = _reference_render_concept(c, ctx)
     parsed = encodings._parse_concept(TokenStream(tokenize(text)))
-    assert parsed == _reference_parse_concept(TokenStream(tokenize(text)))
-    assert parsed == c
+    assert parsed == _reference_concept_formula(c, Var("x"))
 
 
 # ---------------------------------------------------------------------------
@@ -446,3 +471,38 @@ def test_the_text_parses_back_to_the_theory(dialect, text):
     assert header[1:] == [f"# {fresh} = {meaning}" for fresh, meaning in enc.names] + [
         f"# {src}" for src in sources
     ]
+
+
+def encode_in_subprocess(hash_seed: int, inputs: list[tuple[str, str]]) -> list[str]:
+    """Each input's encoded text, or its EncodeError, from a fresh
+    interpreter with the given string-hash seed."""
+    script = (
+        "import json, sys\n"
+        "from dfol import EncodeError, encode_text\n"
+        "out = []\n"
+        "for dialect, text in json.load(sys.stdin):\n"
+        "    try:\n"
+        "        out.append(encode_text(dialect, text).text)\n"
+        "    except EncodeError as e:\n"
+        "        out.append(f'EncodeError: {e}')\n"
+        "json.dump(out, sys.stdout)\n"
+    )
+    src = str(Path(encodings.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": path}
+    run = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps(inputs), env=env,
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(run.stdout)
+
+
+def test_the_encoded_text_does_not_depend_on_the_hash_seed():
+    # the string-hash seeds 0 and 1 iterate the set {Foo, Bar} in different
+    # orders; the unknown concept named is the first in sorted order
+    two_unknown = ("ddl", "ontology 1 { concepts C; axiom Foo and Bar subclassof C; }\n")
+    inputs = [*ROUND_TRIP_INPUTS, two_unknown]
+    first, second = (encode_in_subprocess(seed, inputs) for seed in (0, 1))
+    assert first == second
+    assert first[:-1] == [encode_text(dialect, text).text for dialect, text in ROUND_TRIP_INPUTS]
+    assert first[-1] == "EncodeError: unknown concept 'Bar' in ontology 1"
