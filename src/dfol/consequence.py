@@ -3,8 +3,9 @@ bridge-rule entailment, with counterexample extraction.
 
 Logical consequence quantifies over all models of a theory, which is
 undecidable in general; this module searches the finite space of models
-within a SearchBound (domain sizes and local-model-set sizes per index) and
-returns either a counterexample or the explicitly bound-labeled verdict
+within a SearchBound (domain sizes and local-model-set sizes per index,
+and whether empty local-model sets count) and returns either a
+counterexample or the explicitly bound-labeled verdict
 `holds_within_bound`, which is not a proof.
 
 A premise set entails a goal on a fixed model exactly when the model
@@ -12,7 +13,8 @@ satisfies the bridge rule `premises ==> goal`: every strictly
 premise-admissible assignment satisfying the premises extends to one
 satisfying the goal.  The search therefore reuses bridge-rule satisfaction
 from module semantics, with each rule compiled once (the plan is kept on
-the rule object; the query's rule is new, so compiled, on every call).
+the rule object).  entails_bridge_rule searches with the candidate rule
+itself, so a candidate asked about again reuses its plan.
 
 One staged depth-first search serves both entry points.  Its stages are
 the indices, each followed by the domain relations whose later endpoint it
@@ -26,15 +28,29 @@ reads (the rest get a one-element domain with an empty local-model set),
 and stops at the first leaf.  enumerate_models stages every index of T and
 every relation with a label some check reads, and yields every leaf.
 
-A check's verdict and witness are memoized on what it can observe.  A plan
-reads an index's part only through its domain and through the symbols its
-formulas at that index name, so at each index the parts with one domain
-and one set of local models restricted to those symbols form a class, and
-the memo key holds the class ids of the check's indices and the masks of
-its relations.  At each stage the check that must fail (the query) runs
-before the theory's checks; a leaf needs every verdict either way, so this
-only prunes a doomed branch sooner.  The search reaches the same leaves in
-the same order, with the same witnesses, as one keyed on full choices.
+Each index's parts are kept in a table on its frozen Signature, one per
+bound and set of arrow-free local axioms at that index (`_part_table`):
+the canonical parts that pass those axioms, built once and stored only
+when the build has finished, and, for each symbol set a check reads
+there, the class of each part.  A plan reads an index's part only
+through its domain and through the symbols its formulas at that index
+name, so parts with one domain and one set of local models restricted to
+those symbols form a class.  A check's verdict and witness are memoized
+on the class ids of its indices and the masks of its relations.
+
+An index stage walks classes, not parts (Freuder, AAAI 1991): each check
+ready there is decided once per class of the parts still alive, the
+check that must fail (the query) first, and only the parts whose classes
+pass every check are walked, in part order.  A must-hold rule whose slots
+have no arrow conditions but whose conclusion searches new arrow
+variables is also checked as soon as its last index is chosen, with each
+relation it reads set to the full product of the two domains (forward
+checking, Haralick & Elliott, AIJ 14, 1980): its premise assignments do
+not depend on the relations, and a larger relation only offers its
+conclusion more extensions, so failing there means failing under every
+relation.  Both prune only branches a search over parts would prune at a
+later stage, so the search reaches the same leaves in the same order,
+with the same witnesses, as one keyed on full choices.
 
 Symmetry is broken by lex-leader pruning (Crawford, Ginsberg, Luks & Roy,
 KR 1996) rather than by comparing keys under every renaming.  Each
@@ -76,10 +92,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchBound:
-    """Per-index caps on domain size and local-model-set size."""
+    """Per-index caps on domain size and local-model-set size.  With
+    nonempty_model_sets, only models whose every local-model set holds at
+    least one local model are searched."""
 
     max_domain_size: int = 3
     max_local_models: int = 3
+    nonempty_model_sets: bool = False
 
     def __post_init__(self) -> None:
         if self.max_domain_size < 1 or self.max_local_models < 1:
@@ -209,7 +228,8 @@ def _index_parts(
     image.  A model set is kept only if no renaming maps it to a set of
     smaller sorted ranks; the renamings that map it onto itself, identity
     first, are its automorphisms.  Ranks keep key order, so this is the
-    order of the sets' sorted keys."""
+    order of the sets' sorted keys.  With nonempty, the empty set is left
+    out (the search passes its bound's nonempty_model_sets)."""
     parts = []
     for size in range(1, bound.max_domain_size + 1):
         domain = _domain(size)
@@ -291,6 +311,67 @@ def _theory_checks(T: Theory) -> list[tuple[_RulePlan, bool]]:
     return checks + [(plan, True) for plan in map(_axiom_plan, T.axioms) if plan.relations]
 
 
+_Part = tuple[tuple[str, ...], tuple[LocalModel, ...], tuple[dict[str, str], ...]]
+
+
+class _PartTable:
+    """The canonical parts of one index that pass its arrow-free local
+    axioms, in `_index_parts` order, and their classes per symbol set."""
+
+    __slots__ = ("parts", "_classes")
+
+    def __init__(self, parts: list[_Part]):
+        self.parts = parts
+        self._classes: dict[frozenset, tuple[list[int], list[list[int]]]] = {}
+
+    def classes(self, symbols: frozenset) -> tuple[list[int], list[list[int]]]:
+        """(each part's class id, each class's parts in part order) for a
+        check reading `symbols` at this index: parts share a class when
+        they have one domain and one set of local models restricted to
+        those symbols.  Computed on first use, stored whole."""
+        found = self._classes.get(symbols)
+        if found is None:
+            order = sorted(symbols)
+            ids: dict = {}
+            of_part = [
+                ids.setdefault(
+                    (domain, frozenset(tuple(m.interp_key(*sym) for sym in order) for m in models)),
+                    len(ids),
+                )
+                for domain, models, _ in self.parts
+            ]
+            members: list[list[int]] = [[] for _ in ids]
+            for part, k in enumerate(of_part):
+                members[k].append(part)
+            found = self._classes[symbols] = (of_part, members)
+        return found
+
+
+def _part_table(T: Theory, i: str, bound: SearchBound) -> _PartTable:
+    """Index i's part table, kept on its frozen signature per bound and
+    arrow-free local axioms, as plans are kept on rules.  The signature
+    cannot change and the key holds everything else the parts depend on,
+    so a table never goes stale.  It is stored only once its parts are
+    built, so a build cut short by an exception leaves nothing behind;
+    pickling leaves the tables out (syntax._without_caches)."""
+    sig = T.signature(i)
+    tables = sig.__dict__.get("_parts")
+    if tables is None:
+        tables = {}
+        object.__setattr__(sig, "_parts", tables)
+    axioms = tuple(ax for ax in T.axioms if ax.index == i and not _axiom_plan(ax).relations)
+    table = tables.get((bound, axioms))
+    if table is None:
+        plans = [_axiom_plan(ax) for ax in axioms]
+        parts = [
+            part
+            for part in _index_parts(sig, bound, bound.nonempty_model_sets)
+            if all(plan.check(DfolModel({i: part[0]}, {i: part[1]}, {}))[0] for plan in plans)
+        ]
+        table = tables[(bound, axioms)] = _PartTable(parts)
+    return table
+
+
 class _StagedSearch:
     """Depth-first search over the models of T on the given indices and
     relations, one stage for each: indices in the order given, each
@@ -301,16 +382,28 @@ class _StagedSearch:
     its last stage is chosen, the one that must fail first, and prunes the
     branch unless its verdict is the required one.  Verdicts are memoized
     per check on the masks of the relations it reads and, for each index
-    it reads, on the class of the chosen part: parts share a class when
-    they have one domain and one set of local models restricted to the
-    symbols the check's formulas read there.  Relations are tried in
-    ascending mask order, and one that is not the least of its orbit under
-    the renamings fixing the earlier choices is skipped before any check
-    runs.  Checks are invariant under renaming, so the first surviving
-    leaf is the first leaf of the unpruned search.  `leaves()` yields the
-    live model at each surviving leaf; `results[c]` then holds check c's
-    (verdict, witness) for that leaf, and `choice` the option taken at
-    each stage.
+    it reads, on the class of the chosen part in that index's kept
+    `_PartTable`.  Building a search does no work on parts beyond looking
+    up those tables.
+
+    At an index stage each ready check is decided once per class of the
+    parts still alive, and then `lookahead` checks run the same way: a
+    must-hold plan whose slots have no arrow conditions and whose
+    conclusion has `missing` arrow variables is tried once its last index
+    is chosen, with every relation it reads set to the full product of its
+    endpoints' domains.  It can only hold more often on a larger relation,
+    so a failure there prunes the branch before any of its relations is
+    chosen.  Only the parts whose classes pass every check are walked, in
+    part order.  Where a check's class ids are None (a key on the full
+    choice), each part is its own class.
+
+    Relations are tried in ascending mask order, and one that is not the
+    least of its orbit under the renamings fixing the earlier choices is
+    skipped before any check runs.  Checks are invariant under renaming,
+    so the first surviving leaf is the first leaf of the unpruned search.
+    `leaves()` yields the live model at each surviving leaf; `results[c]`
+    then holds check c's (verdict, witness) for that leaf, and `choice`
+    the option taken at each stage.
     """
 
     def __init__(
@@ -320,7 +413,6 @@ class _StagedSearch:
         indices: list[str],
         rel_keys: Iterable[tuple[str, str, str | None]],
         checks: list[tuple[_RulePlan, bool]],
-        nonempty: bool = False,
     ):
         at = {i: t for t, i in enumerate(indices)}
         rel_keys = sorted(rel_keys, key=lambda k: (k[0], k[1], k[2] or ""))
@@ -329,46 +421,30 @@ class _StagedSearch:
             self.stages.append(("idx", i))
             self.stages += [("rel", k) for k in rel_keys if max(at[k[0]], at[k[1]]) == at[i]]
         position = {name: t for t, (_, name) in enumerate(self.stages)}
-        self.parts = {}
-        for i in indices:
-            # axioms that read no relation are decided by one index's part
-            local = [_axiom_plan(ax) for ax in T.axioms if ax.index == i]
-            local = [plan for plan in local if not plan.relations]
-            self.parts[i] = [
-                part
-                for part in _index_parts(T.signature(i), bound, nonempty)
-                if all(plan.check(DfolModel({i: part[0]}, {i: part[1]}, {}))[0] for plan in local)
-            ]
-        classes: dict[tuple[str, frozenset], list[int]] = {}
-
-        def class_ids(i: str, symbols: frozenset) -> list[int]:
-            """Each part's class at index i for a check reading `symbols` there."""
-            if (i, symbols) not in classes:
-                order = sorted(symbols)
-                ids: dict = {}
-                classes[(i, symbols)] = [
-                    ids.setdefault(
-                        (domain, frozenset(tuple(m.interp_key(*sym) for sym in order) for m in models)),
-                        len(ids),
-                    )
-                    for domain, models, _ in self.parts[i]
-                ]
-            return classes[(i, symbols)]
-
+        self.tables = {i: _part_table(T, i, bound) for i in indices}
         self.ready: dict[int, list] = {}
+        self.lookahead: dict[int, list] = {}
         # The check that must fail goes first at its stage: it prunes the
         # most branches, and a leaf needs every verdict either way.
         for c, (plan, must_hold) in sorted(enumerate(checks), key=lambda e: e[1][1]):
-            keyed = [(i, class_ids(i, symbols)) for i, symbols in plan.reads.items()]
-            keyed += [(key, None) for key in plan.relations]
+            at_indices = [(i, self.tables[i].classes(symbols)[0]) for i, symbols in plan.reads.items()]
+            keyed = at_indices + [(key, None) for key in plan.relations]
             ready = max(position[name] for name, _ in keyed)
             self.ready.setdefault(ready, []).append((c, plan, keyed, must_hold))
+            if must_hold and plan.missing and not any(plan.sources):
+                last = max(position[i] for i in plan.reads)
+                if last < ready:
+                    self.lookahead.setdefault(last, []).append((c, plan, at_indices))
         self.model = DfolModel({}, {}, {})
         # Interned choice ids keep memo keys small integers instead of deep
         # structures that would be re-hashed on every lookup.
         self.choice: dict[object, int] = {name: -1 for _, name in self.stages}
         self.results: list[tuple[bool, Assignment | None] | None] = [None] * len(checks)
         self.memo: dict[tuple[int, tuple[int, ...]], tuple[bool, Assignment | None]] = {}
+        # Index stages memoize per class: (check, relaxed, key of its other
+        # stages) -> class id -> verdict.
+        self.class_memo: dict[tuple, dict[int, tuple[bool, Assignment | None]]] = {}
+        self.stage_checks: dict[int, list] = {}
 
     def _passes(self, t: int) -> bool:
         choice = self.choice
@@ -381,6 +457,73 @@ class _StagedSearch:
             if hit[0] != must_hold:
                 return False
         return True
+
+    def _stage_checks(self, t: int, name: str) -> list:
+        """The checks run at index stage t, as (check, plan, keyed, verdict
+        it must have, relaxed, its class ids at index `name`): the ready
+        ones in run order, then the lookahead ones."""
+        at_t = self.stage_checks.get(t)
+        if at_t is None:
+            # built on the first visit, so that it follows `ready` as a
+            # subclass may have rewritten it
+            checks = [(c, plan, keyed, must_hold, False) for c, plan, keyed, must_hold in self.ready.get(t, ())]
+            checks += [(c, plan, keyed, True, True) for c, plan, keyed in self.lookahead.get(t, ())]
+            at_t = self.stage_checks[t] = [(*check, dict(check[2])[name]) for check in checks]
+        return at_t
+
+    def _relaxed_check(self, plan: _RulePlan) -> tuple[bool, Assignment | None]:
+        """plan's verdict with each relation it reads set to the full
+        product of its endpoints' domains; the model's relations are left
+        as they were."""
+        M = self.model
+        kept = {key: M.relations.get(key) for key in plan.relations}
+        for src, tgt, label in plan.relations:
+            M.relations[(src, tgt, label)] = frozenset(product(M.domains[src], M.domains[tgt]))
+        try:
+            return plan.check(M)
+        finally:
+            for key, rel in kept.items():
+                if rel is None:
+                    del M.relations[key]
+                else:
+                    M.relations[key] = rel
+
+    def _index_choices(self, t: int, name: str) -> tuple[list[int] | range, list]:
+        """The parts of index `name` that pass every check of stage t, in
+        part order, and for each ready check (c, class ids, verdict per
+        class) to record its result with.
+
+        Each check is decided on one part of each of its classes among the
+        parts still alive, and its verdicts are memoized per class under
+        the choices of its other stages, which stay fixed while this stage
+        is walked.  The first check with class ids walks the table's
+        classes; the others walk the parts the earlier ones kept."""
+        parts, M, choice = self.tables[name].parts, self.model, self.choice
+        alive: list[int] | None = None
+        recorded = []
+        for c, plan, keyed, must_hold, relaxed, ids in self._stage_checks(t, name):
+            rest = tuple([choice[n] if i is None else i[choice[n]] for n, i in keyed if n != name])
+            hits = self.class_memo.setdefault((c, relaxed, rest), {})
+            if alive is None and ids is not None:
+                walk = [(members[0], members) for members in self.tables[name].classes(plan.reads[name])[1]]
+            else:
+                walk = [(part, (part,)) for part in (range(len(parts)) if alive is None else alive)]
+            kept: list[int] = []
+            for part, members in walk:
+                k = part if ids is None else ids[part]
+                hit = hits.get(k)
+                if hit is None:
+                    M.domains[name], M.model_sets[name], _ = parts[part]
+                    choice[name] = part
+                    hit = hits[k] = self._relaxed_check(plan) if relaxed else plan.check(M)
+                if hit[0] == must_hold:
+                    kept += members
+            alive = sorted(kept)
+            if not alive:
+                break
+            if not relaxed:
+                recorded.append((c, ids, hits))
+        return (range(len(parts)) if alive is None else alive), recorded
 
     def leaves(self, t: int = 0, group: Sequence[_Renaming] = ({},)) -> Iterator[DfolModel]:
         """The leaves below stage t.  `group` holds the joint renamings that
@@ -397,12 +540,16 @@ class _StagedSearch:
         # A stage's old value needs no clearing on the way back: checks
         # ready at a stage read only that stage and earlier ones.
         if kind == "idx":
-            for choice, (domain, models, autos) in enumerate(self.parts[name]):
+            parts = self.tables[name].parts
+            alive, recorded = self._index_choices(t, name)
+            for choice in alive:
+                domain, models, autos = parts[choice]
                 M.domains[name], M.model_sets[name] = domain, models
                 self.choice[name] = choice
-                if self._passes(t):
-                    product_group = [{**g, name: a} for g in group for a in autos] if len(autos) > 1 else group
-                    yield from self.leaves(t + 1, product_group)
+                for c, ids, hits in recorded:
+                    self.results[c] = hits[choice if ids is None else ids[choice]]
+                product_group = [{**g, name: a} for g in group for a in autos] if len(autos) > 1 else group
+                yield from self.leaves(t + 1, product_group)
             return
         src, tgt, _ = name
         images = _mask_images(group, M.domains, src, tgt) if len(group) > 1 else [None]
@@ -463,8 +610,6 @@ def logical_consequence(
     premises: Iterable[LabeledFormula],
     goal: LabeledFormula,
     bound: SearchBound = SearchBound(),
-    *,
-    _nonempty_model_sets: bool = False,
 ) -> Verdict:
     """Decide premises |= goal over all models of T within the bound.
 
@@ -475,28 +620,7 @@ def logical_consequence(
     the premises; only the goal's own new arrow variables are searched
     existentially, mirroring bridge-rule satisfaction.
     """
-    query = BridgeRule(tuple(premises), goal)
-    plan = _rule_plan(query)
-    checks = _theory_checks(T) + [(plan, False)]
-    # Only the indices and relations some check reads can influence the
-    # query; the rest are fixed by the completion.
-    read = {i for p, _ in checks for i in p.reads}
-    # Indices the query itself reads come first: once they are staged the
-    # query's verdict is fixed, and branches where it already holds are
-    # pruned without enumerating the remaining stages.
-    indices = sorted(
-        (i for i in T.indices if i in read),
-        key=lambda i: (i not in plan.reads, T.indices.index(i)),
-    )
-    rel_keys = {key for p, _ in checks for key in p.relations}
-    search = _StagedSearch(T, bound, indices, rel_keys, checks, _nonempty_model_sets)
-    M = next(search.leaves(), None)
-    if M is None:
-        return Verdict.holds_within_bound(bound)
-    witness = search.results[-1][1]  # the query is the last check
-    counter = _complete_counterexample(T, M)
-    _revalidate(T, counter, query, witness)
-    return Verdict.counterexample(bound, counter, witness)
+    return entails_bridge_rule(T, BridgeRule(tuple(premises), goal), bound)
 
 
 def _revalidate(
@@ -518,5 +642,26 @@ def entails_bridge_rule(
     T: Theory, candidate: BridgeRule, bound: SearchBound = SearchBound()
 ) -> Verdict:
     """candidate is entailed by T's bridge rules iff its conclusion follows
-    from its premises over all models of T within the bound."""
-    return logical_consequence(T, candidate.premises, candidate.conclusion, bound)
+    from its premises over all models of T within the bound.  The search
+    runs on the candidate itself, so its compiled plan is kept on it."""
+    plan = _rule_plan(candidate)
+    checks = _theory_checks(T) + [(plan, False)]
+    # Only the indices and relations some check reads can influence the
+    # query; the rest are fixed by the completion.
+    read = {i for p, _ in checks for i in p.reads}
+    # Indices the query itself reads come first: once they are staged the
+    # query's verdict is fixed, and branches where it already holds are
+    # pruned without enumerating the remaining stages.
+    indices = sorted(
+        (i for i in T.indices if i in read),
+        key=lambda i: (i not in plan.reads, T.indices.index(i)),
+    )
+    rel_keys = {key for p, _ in checks for key in p.relations}
+    search = _StagedSearch(T, bound, indices, rel_keys, checks)
+    M = next(search.leaves(), None)
+    if M is None:
+        return Verdict.holds_within_bound(bound)
+    witness = search.results[-1][1]  # the query is the last check
+    counter = _complete_counterexample(T, M)
+    _revalidate(T, counter, candidate, witness)
+    return Verdict.counterexample(bound, counter, witness)

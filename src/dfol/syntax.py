@@ -229,9 +229,11 @@ def _cached_hash(node) -> int:
 def _without_caches(obj) -> dict:
     """Pickled (and deep-copied) state without what an object caches: a
     node's hash, which another process with another string-hash seed would
-    get wrong, and the compiled plan module semantics keeps on a bridge rule
-    or axiom, whose closures cannot be pickled.  Both are rebuilt on use."""
-    return {k: v for k, v in obj.__dict__.items() if k != "_hash" and k != "_plan"}
+    get wrong; the compiled plan module semantics keeps on a bridge rule
+    or axiom, whose closures cannot be pickled; and the part tables module
+    consequence keeps on a signature, which can run to thousands of local
+    models.  All are rebuilt on use."""
+    return {k: v for k, v in obj.__dict__.items() if k not in ("_hash", "_plan", "_parts")}
 
 
 def _node_eq(f: Formula | App, g: object) -> bool:
@@ -369,6 +371,8 @@ class Signature:
             | {f for f, _ in self.funcs}
             | {p for p, _ in self.preds}
         )
+
+    __getstate__ = _without_caches
 
 
 @dataclass

@@ -702,10 +702,10 @@ def test_arrow_transfer_holds_over_nonempty_model_sets():
     premise = lf(ARROWS, "1: y = x^>2")
     goal = lf(ARROWS, "2: y^<1 = x")
     assert logical_consequence(
-        ARROWS, [premise], goal, B22, _nonempty_model_sets=True
+        ARROWS, [premise], goal, SearchBound(2, 2, nonempty_model_sets=True)
     ).holds
     assert logical_consequence(
-        ARROWS, [goal], premise, B22, _nonempty_model_sets=True
+        ARROWS, [goal], premise, SearchBound(2, 2, nonempty_model_sets=True)
     ).holds
 
 
